@@ -135,12 +135,12 @@ double analytic_direct_mbps(const Preset& preset, flow::Cca cca) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::BenchOptions opts = bench::parse_options(argc, argv);
   bench::banner(
       "Ablation -- congestion-control zoo vs depot path splitting",
       "Reno-era AIMD gains ~n^1.5 from n-way RTT splitting; CUBIC gains ~n; "
       "BBR gains exactly the buffer-limit relief. The logistical effect "
       "survives, but its mechanism shifts from loss recovery to buffering.");
-  const bench::BenchOptions opts = bench::parse_options(argc, argv);
   // --cca=<name> restricts the grid to one algorithm (CI determinism runs)
   // and --preset=<name> to one link era (CI pairs flow-vs-packet speedups
   // on the window-limited 2004 preset, where both engines converge).

@@ -115,13 +115,13 @@ Trial run_trial(Mode mode, double mtbf_s, std::uint64_t seed,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const auto opts = bench::parse_options(argc, argv);
   bench::banner(
       "Ablation -- depot churn vs session recovery (UCSB->UIUC, 64MB)",
       "Completion rate and goodput vs depot MTBF (MTTR 2s). Recovery "
       "should hold completion at 100% by failing over to the direct path "
       "and resuming at the committed offset; without it completion decays "
       "toward exp(-T/MTBF).");
-  const auto opts = bench::parse_options(argc, argv);
   const std::size_t iterations = bench::scaled(5, 2);
 
   // Churn-immune baseline: one column, independent of MTBF.

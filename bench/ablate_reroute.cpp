@@ -116,13 +116,13 @@ Trial run_trial(bool faulted, bool rerouting, std::uint64_t seed,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const auto opts = lsl::bench::parse_options(argc, argv);
   lsl::bench::banner(
       "Ablation -- adaptive reroute vs brownout (48MB, depot.a throttled)",
       "Goodput with/without mid-transfer rerouting when the scheduled "
       "path's WAN hop drops to 5% rate at t=2s. Rerouting should recover "
       "most of the lost throughput; the steady-forecast control must show "
       "zero reroutes (hysteresis absorbs measurement noise).");
-  const auto opts = lsl::bench::parse_options(argc, argv);
   const std::size_t iterations = lsl::bench::scaled(5, 2);
 
   OnlineStats reroute_bw;

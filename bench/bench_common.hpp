@@ -61,7 +61,28 @@ struct BenchOptions {
   std::string fidelity = "analytic";
 };
 
+/// Parses the shared options. --help / -h prints them and exits 0, before
+/// the bench does any work.
 inline BenchOptions parse_options(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0 ||
+        std::strcmp(argv[i], "-h") == 0) {
+      std::printf(
+          "usage: %s [--jobs N] [--json <file>]\n"
+          "          [--fidelity=analytic|flow|packet]\n"
+          "  --jobs N        trial-engine workers (LSL_BENCH_JOBS; default 1,\n"
+          "                  0 = one per hardware thread)\n"
+          "  --json <file>   write {bench, metric, value} records\n"
+          "                  (LSL_BENCH_JSON)\n"
+          "  --fidelity=...  measurement back end of sweeping benches\n"
+          "                  (LSL_BENCH_FIDELITY; default analytic)\n"
+          "  LSL_BENCH_SCALE=F scales iteration counts (0.05 for a smoke\n"
+          "  run); LSL_BENCH_METRICS_DIR / LSL_BENCH_METRICS=off place or\n"
+          "  skip the metrics sidecar.\n",
+          argv[0]);
+      std::exit(0);
+    }
+  }
   BenchOptions opts;
   if (const char* v = std::getenv("LSL_BENCH_JOBS")) {
     opts.jobs = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));

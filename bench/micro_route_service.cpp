@@ -116,10 +116,10 @@ PhaseResult run_readers(const lsl::sched::RouteService& service,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const auto opts = lsl::bench::parse_options(argc, argv);
   lsl::bench::banner(
       "RouteService -- sharded snapshot lookups under churn",
       "lock-free batched route lookups vs live forecast-drift publishes");
-  const auto opts = lsl::bench::parse_options(argc, argv);
 
   const std::size_t pool = lsl::bench::scaled(512, 64);
   const auto grid = lsl::testbed::SyntheticGrid::planetlab(

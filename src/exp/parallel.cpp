@@ -9,7 +9,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
 
 namespace lsl::exp {
@@ -30,24 +29,16 @@ void for_each_trial(std::size_t n, const TrialOptions& options,
     // would depend on --jobs. Scoping here and merging immediately in loop
     // order makes every jobs value reproduce this exact stream.
     obs::Registry& parent_registry = obs::Registry::global();
-    obs::TraceRecorder* parent_tracer = obs::tracer();
     obs::SpanRecorder* parent_spans = obs::spans();
     for (std::size_t trial = 0; trial < n; ++trial) {
       std::unique_ptr<obs::Registry> trial_registry;
-      std::unique_ptr<obs::TraceRecorder> trial_trace;
       std::unique_ptr<obs::SpanRecorder> trial_spans;
       {
         std::optional<obs::ScopedRegistry> registry_scope;
-        std::optional<obs::ScopedTracer> tracer_scope;
         std::optional<obs::ScopedSpanRecorder> span_scope;
         if (options.scope_metrics) {
           trial_registry = std::make_unique<obs::Registry>();
           registry_scope.emplace(*trial_registry);
-        }
-        if (parent_tracer != nullptr) {
-          trial_trace =
-              std::make_unique<obs::TraceRecorder>(options.trace_capacity);
-          tracer_scope.emplace(trial_trace.get());
         }
         if (parent_spans != nullptr) {
           trial_spans = std::make_unique<obs::SpanRecorder>(
@@ -58,9 +49,6 @@ void for_each_trial(std::size_t n, const TrialOptions& options,
       }
       if (trial_registry != nullptr) {
         parent_registry.merge_from(*trial_registry);
-      }
-      if (trial_trace != nullptr) {
-        obs::append_snapshot(*parent_tracer, *trial_trace);
       }
       if (trial_spans != nullptr) {
         parent_spans->append_from(*trial_spans);
@@ -78,16 +66,11 @@ void for_each_trial(std::size_t n, const TrialOptions& options,
 
   // Caller-side observability sinks, captured before workers start.
   obs::Registry& parent_registry = obs::Registry::global();
-  obs::TraceRecorder* parent_tracer = obs::tracer();
   obs::SpanRecorder* parent_spans = obs::spans();
   std::vector<std::unique_ptr<obs::Registry>> trial_registries;
-  std::vector<std::unique_ptr<obs::TraceRecorder>> trial_traces;
   std::vector<std::unique_ptr<obs::SpanRecorder>> trial_spans;
   if (options.scope_metrics) {
     trial_registries.resize(n);
-  }
-  if (parent_tracer != nullptr) {
-    trial_traces.resize(n);
   }
   if (parent_spans != nullptr) {
     trial_spans.resize(n);
@@ -112,16 +95,10 @@ void for_each_trial(std::size_t n, const TrialOptions& options,
         // Scope this trial's built-in instrumentation to private sinks so
         // the shared registry/recorder are never touched concurrently.
         std::optional<obs::ScopedRegistry> registry_scope;
-        std::optional<obs::ScopedTracer> tracer_scope;
         std::optional<obs::ScopedSpanRecorder> span_scope;
         if (options.scope_metrics) {
           trial_registries[trial] = std::make_unique<obs::Registry>();
           registry_scope.emplace(*trial_registries[trial]);
-        }
-        if (parent_tracer != nullptr) {
-          trial_traces[trial] =
-              std::make_unique<obs::TraceRecorder>(options.trace_capacity);
-          tracer_scope.emplace(trial_traces[trial].get());
         }
         if (parent_spans != nullptr) {
           trial_spans[trial] = std::make_unique<obs::SpanRecorder>(
@@ -148,14 +125,11 @@ void for_each_trial(std::size_t n, const TrialOptions& options,
     std::rethrow_exception(first_error);
   }
 
-  // Post-hoc, ordered merge: totals and trace streams come out exactly as
+  // Post-hoc, ordered merge: totals and span streams come out exactly as
   // the serial loop would have produced them.
   for (std::size_t trial = 0; trial < n; ++trial) {
     if (options.scope_metrics && trial_registries[trial] != nullptr) {
       parent_registry.merge_from(*trial_registries[trial]);
-    }
-    if (parent_tracer != nullptr && trial_traces[trial] != nullptr) {
-      obs::append_snapshot(*parent_tracer, *trial_traces[trial]);
     }
     if (parent_spans != nullptr && trial_spans[trial] != nullptr) {
       parent_spans->append_from(*trial_spans[trial]);

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "mc/hooks.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
 
@@ -671,21 +671,39 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
       depot_.metrics_->relay_session_mib->observe(
           static_cast<double>(payload_seen_) / static_cast<double>(kMiB));
     }
-    if (auto* tr = obs::tracer(); tr != nullptr) {
-      // One complete span per session; overlapping sessions stay legible in
-      // the Chrome trace because 'X' events carry their own duration.
-      const char* name = "lsl.session";
+    if (obs::SpanRecorder* sr = obs::spans()) {
+      // One complete span per depot session, reason = what the depot did
+      // with it. A connection that closed before its header parsed has no
+      // session to file under and records nothing.
+      const char* what = nullptr;
       switch (phase_) {
-        case Phase::kRelaying: name = "lsl.relay"; break;
-        case Phase::kDelivering: name = "lsl.deliver"; break;
-        case Phase::kStoring: name = "lsl.store"; break;
-        case Phase::kServingFetch: name = "lsl.fetch"; break;
-        case Phase::kServingOffset: name = "lsl.offset_query"; break;
-        case Phase::kMulticast: name = "lsl.multicast"; break;
-        default: break;
+        case Phase::kRelaying:
+          what = "relay";
+          break;
+        case Phase::kDelivering:
+          what = "deliver";
+          break;
+        case Phase::kStoring:
+          what = "store";
+          break;
+        case Phase::kServingFetch:
+          what = "fetch";
+          break;
+        case Phase::kServingOffset:
+          what = "offset_query";
+          break;
+        case Phase::kMulticast:
+          what = "multicast";
+          break;
+        default:
+          break;
       }
-      tr->complete(accepted_at_, now - accepted_at_, "lsl", name,
-                   SessionIdHash{}(hdr_.session_id));
+      if (what != nullptr) {
+        const std::uint64_t session = SessionIdHash{}(hdr_.session_id);
+        sr->complete(accepted_at_, now - accepted_at_, obs::SpanKind::kRelay,
+                     session, sr->session_root(session), what,
+                     static_cast<double>(payload_seen_));
+      }
     }
     phase_ = Phase::kDone;
     depot_.release_user_memory(user_buffer_granted_);

@@ -232,6 +232,7 @@ std::vector<TransferBreakdown> account_spans(
       case SpanKind::kRouteDecision:
       case SpanKind::kFaultWindow:
       case SpanKind::kForecastEpoch:
+      case SpanKind::kRelay:
         break;  // informational; no mode change
     }
   }

@@ -38,9 +38,47 @@ const char* to_string(SpanKind kind) {
       return "fault_window";
     case SpanKind::kForecastEpoch:
       return "forecast_epoch";
+    case SpanKind::kRelay:
+      return "relay";
   }
   return "?";
 }
+
+namespace {
+
+/// The layer that emits each kind: the Chrome export's "cat".
+const char* layer_of(SpanKind kind) {
+  switch (kind) {
+    case SpanKind::kSession:
+      return "exp";
+    case SpanKind::kConnect:
+    case SpanKind::kStream:
+    case SpanKind::kRtoWait:
+      return "tcp";
+    case SpanKind::kRouteDecision:
+      return "sched";
+    case SpanKind::kFaultWindow:
+      return "fault";
+    case SpanKind::kForecastEpoch:
+      return "nws";
+    default:
+      return "lsl";
+  }
+}
+
+/// Chrome phase letter: begin/end pairs are async ("b"/"e"), keyed by id.
+char chrome_phase(SpanPhase phase) {
+  switch (phase) {
+    case SpanPhase::kBegin:
+      return 'b';
+    case SpanPhase::kEnd:
+      return 'e';
+    default:
+      return to_char(phase);
+  }
+}
+
+}  // namespace
 
 char to_char(SpanPhase phase) {
   switch (phase) {
@@ -247,22 +285,38 @@ std::string post_mortem_all(const SpanRecorder& recorder, bool only_troubled) {
 }
 
 std::string SpanRecorder::to_json() const {
+  // Lane 0 holds global context events; sessions get lanes in first-seen
+  // order so the export is stable across runs and --jobs values.
+  std::map<std::uint64_t, std::size_t> lanes{{0, 0}};
+  for (const std::uint64_t session : session_order_) {
+    lanes.emplace(session, lanes.size());
+  }
   std::string out = "[";
   bool first = true;
-  char buf[384];
+  char buf[512];
   for (const SpanEvent& e : snapshot()) {
     if (!first) {
       out += ",";
     }
     first = false;
+    std::snprintf(buf, sizeof buf,
+                  "\n{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%c\", "
+                  "\"ts\": %.3f, ",
+                  to_string(e.kind), layer_of(e.kind), chrome_phase(e.phase),
+                  e.ts.to_seconds() * 1e6);
+    out += buf;
+    if (e.phase == SpanPhase::kComplete) {
+      std::snprintf(buf, sizeof buf, "\"dur\": %.3f, ",
+                    e.dur.to_seconds() * 1e6);
+      out += buf;
+    }
     std::snprintf(
         buf, sizeof buf,
-        "\n  {\"ts\": %.3f, \"ph\": \"%c\", \"kind\": \"%s\", "
-        "\"id\": %" PRIu64 ", \"parent\": %" PRIu64 ", \"follows\": %" PRIu64
-        ", \"session\": \"%016" PRIx64 "\", \"dur\": %.3f, "
-        "\"reason\": \"%s\", \"value\": %.6g}",
-        e.ts.to_seconds() * 1e6, to_char(e.phase), to_string(e.kind),
-        e.span_id, e.parent, e.follows, e.session, e.dur.to_seconds() * 1e6,
+        "\"pid\": 0, \"tid\": %zu, \"id\": %" PRIu64
+        ", \"args\": {\"parent\": %" PRIu64 ", \"follows\": %" PRIu64
+        ", \"session\": \"%016" PRIx64 "\", \"reason\": \"%s\", "
+        "\"value\": %.6g}}",
+        lanes.at(e.session), e.span_id, e.parent, e.follows, e.session,
         e.reason != nullptr ? e.reason : "", e.value);
     out += buf;
   }

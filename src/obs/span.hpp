@@ -1,13 +1,16 @@
 // Causal span layer: typed, parent/child-linked spans over transfer
-// lifecycles, layered on top of the flat trace ring (obs/trace.hpp).
+// lifecycles -- the simulator's one event record. --explain, the flight
+// recorder's post-mortems and the Chrome trace export (to_json) are all
+// derived from it.
 //
 // The span model follows the session stack top-down:
 //
 //   Session -> Transfer -> Attempt -> {Connect, Stream, Stall, Backoff,
 //                                      Probe, Handover, Resume, RtoWait}
 //
-// plus global (session-less) context spans: RouteDecision verdicts from the
-// scheduler's advisor, injected FaultWindows, and NWS ForecastEpochs.
+// plus per-depot Relay spans (one per depot session) and global
+// (session-less) context spans: RouteDecision verdicts from the scheduler's
+// advisor, injected FaultWindows, and NWS ForecastEpochs.
 // Attempts carry follows-from links to the attempt they resume, so the
 // failover chain of a transfer (attempt 0 -> stall -> backoff -> attempt 1
 // -> handover -> attempt 2 ...) is walkable from the event stream alone.
@@ -22,7 +25,7 @@
 // Span ids are assigned by the recorder (monotonic from 1), never derived
 // from pointers or wall time, so runs are bit-for-bit reproducible and
 // per-trial recorders can be rebased and merged in trial order exactly like
-// obs::Registry / obs::TraceRecorder (docs/performance.md).
+// obs::Registry (docs/performance.md).
 #pragma once
 
 #include <cstdint>
@@ -50,6 +53,7 @@ enum class SpanKind : std::uint8_t {
   kRouteDecision,  ///< one advisor verdict, reason = decision-ladder rung
   kFaultWindow,    ///< injected fault lifetime (apply -> heal)
   kForecastEpoch,  ///< one NWS measure -> matrix -> schedule tick
+  kRelay,          ///< one depot session, reason = relay/deliver/store/...
 };
 
 [[nodiscard]] const char* to_string(SpanKind kind);
@@ -150,7 +154,12 @@ class SpanRecorder {
   /// recorder's crash artifact): one line per event with causal links.
   [[nodiscard]] std::string post_mortem(std::uint64_t session) const;
 
-  /// JSON array of event objects (ts/dur in microseconds, ids as numbers).
+  /// Chrome trace-event JSON (Array Format, loadable in Perfetto): name =
+  /// span kind, cat = emitting layer, begin/end pairs as async "b"/"e"
+  /// events keyed by "id" = span id (spans of different sessions overlap,
+  /// so nesting cannot pair them), ts/dur in microseconds, pid 0, tid = the
+  /// session's lane (0 = global context, then sessions in first-seen
+  /// order); parent/follows/session/reason/value under "args".
   [[nodiscard]] std::string to_json() const;
   bool write_json(const std::string& path) const;
 

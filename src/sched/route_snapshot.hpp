@@ -11,8 +11,8 @@
 // a consistent view until they drop it.
 //
 // Single-shard snapshots reproduce the owning Scheduler's decisions
-// exactly (same trees, same parents, same costs), which is what the
-// route-service determinism smoke in CI pins.
+// exactly (same trees, same parents, same costs); route_service_test
+// checks them against Scheduler::route.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 
 #include "exp/parallel.hpp"
 #include "nws/monitor.hpp"
@@ -22,6 +23,9 @@ std::vector<double> SweepResult::all_speedups() const {
 
 SweepResult run_speedup_sweep(const SyntheticGrid& grid,
                               const SweepConfig& config, std::uint64_t seed) {
+  if (config.route_shards == 0) {
+    throw std::invalid_argument("SweepConfig::route_shards must be >= 1");
+  }
   Rng rng(seed);
   SweepResult result;
 
@@ -57,29 +61,20 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
           1.0 / grid.host(h).host_cap.megabits_per_second();
     }
   }
-  // Route either through the direct scheduler or, when route_shards > 0,
-  // through a sharded RouteService snapshot (same trees at one shard, so
-  // the single-shard output is bitwise identical to the direct path).
-  std::unique_ptr<sched::Scheduler> scheduler;
-  std::unique_ptr<sched::RouteService> route_service;
-  if (config.route_shards > 0) {
-    sched::RouteServiceOptions service_options;
-    service_options.shards = config.route_shards;
-    service_options.scheduler = sched_options;
-    service_options.prebuild_jobs = config.jobs;
-    route_service = std::make_unique<sched::RouteService>(std::move(matrix),
-                                                          service_options);
-  } else {
-    scheduler =
-        std::make_unique<sched::Scheduler>(std::move(matrix), sched_options);
-  }
+  // Routes come from a RouteService snapshot (at one shard, exactly the
+  // direct scheduler's minimax trees).
+  sched::RouteServiceOptions service_options;
+  service_options.shards = config.route_shards;
+  service_options.scheduler = sched_options;
+  service_options.prebuild_jobs = config.jobs;
+  const sched::RouteService route_service(std::move(matrix), service_options);
 
   // 2. Find the pairs where the scheduler picked a depot path. The n^2
-  // discovery loop parallelizes per source: the source trees are prebuilt
-  // (itself parallel and job-count invariant), so every worker only reads
-  // the shared scheduler, and per-source results fold back in source order
-  // -- cases and fraction_scheduled come out bitwise identical to the old
-  // serial loop for any jobs value.
+  // discovery loop parallelizes per source: the snapshot is immutable (its
+  // trees were prebuilt in parallel, job-count invariant), so every worker
+  // only reads it, and per-source results fold back in source order --
+  // cases and fraction_scheduled come out bitwise identical for any jobs
+  // value.
   std::vector<std::size_t> endpoints = config.endpoints;
   if (endpoints.empty()) {
     endpoints.resize(grid.size());
@@ -87,11 +82,8 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
       endpoints[i] = i;
     }
   }
-  if (scheduler != nullptr) {
-    scheduler->prebuild_trees(config.jobs, endpoints);
-  }
   const std::shared_ptr<const sched::RouteSnapshot> route_snapshot =
-      route_service != nullptr ? route_service->snapshot() : nullptr;
+      route_service.snapshot();
   struct Case {
     std::size_t src;
     std::size_t dst;
@@ -112,16 +104,9 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
             continue;
           }
           ++out.eligible;
-          if (route_snapshot != nullptr) {
-            auto resolved = route_snapshot->resolve(src, dst);
-            if (resolved.uses_depots()) {
-              out.cases.push_back(Case{src, dst, std::move(resolved.path)});
-            }
-          } else {
-            const auto decision = scheduler->route(src, dst);
-            if (decision.uses_depots()) {
-              out.cases.push_back(Case{src, dst, decision.path});
-            }
+          auto resolved = route_snapshot->resolve(src, dst);
+          if (resolved.uses_depots()) {
+            out.cases.push_back(Case{src, dst, std::move(resolved.path)});
           }
         }
         return out;

@@ -1,6 +1,6 @@
 // Observability layer: metrics registry semantics, histogram quantiles
-// against the exact percentile in util/stats, trace-ring overwrite, and
-// Chrome trace_event JSON well-formedness.
+// against the exact percentile in util/stats, and Chrome trace_event JSON
+// well-formedness of the span stream export.
 #include <cctype>
 #include <cstddef>
 #include <cstdint>
@@ -9,9 +9,8 @@
 
 #include <gtest/gtest.h>
 
-#include "exp/trace.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 #include "sim/simulator.hpp"
 #include "util/stats.hpp"
 
@@ -345,68 +344,56 @@ TEST(ObsMetricsTest, RegistryJsonIsWellFormed) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace recorder
+// Chrome export of the span stream
 
-TEST(ObsTraceTest, RingOverwritesOldestEvents) {
-  obs::TraceRecorder rec(4);
-  for (int i = 0; i < 10; ++i) {
-    rec.instant(SimTime::seconds(i), "test", "tick",
-                static_cast<std::uint64_t>(i));
-  }
-  EXPECT_EQ(rec.capacity(), 4u);
-  EXPECT_EQ(rec.size(), 4u);
-  EXPECT_EQ(rec.total_recorded(), 10u);
-  EXPECT_EQ(rec.dropped(), 6u);
-  const auto events = rec.snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].id, 6 + i);  // oldest-first, last four survive
-  }
-  rec.clear();
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(rec.total_recorded(), 0u);
-}
-
-TEST(ObsTraceTest, ChromeTraceJsonShape) {
-  obs::TraceRecorder rec(16);
-  rec.begin(SimTime::milliseconds(1), "tcp", "handshake", 7);
-  rec.end(SimTime::milliseconds(3), "tcp", "handshake", 7);
-  rec.instant(SimTime::milliseconds(4), "tcp", "tcp.retransmit");
-  rec.counter(SimTime::milliseconds(5), "exp", "acked_bytes", 1234.0);
-  rec.complete(SimTime::milliseconds(2), SimTime::milliseconds(6), "lsl",
-               "lsl.relay", 9);
+TEST(ObsSpanExportTest, ChromeTraceJsonShape) {
+  obs::SpanRecorder rec(0);
+  const std::uint64_t session = 0xabc;
+  const std::uint64_t root = rec.begin(SimTime::milliseconds(1),
+                                       obs::SpanKind::kSession, session);
+  rec.instant(SimTime::milliseconds(4), obs::SpanKind::kResume, session, root,
+              0, "retry", 1234.0);
+  rec.complete(SimTime::milliseconds(2), SimTime::milliseconds(6),
+               obs::SpanKind::kRelay, session, root, "relay");
+  rec.instant(SimTime::milliseconds(5), obs::SpanKind::kFaultWindow,
+              /*session=*/0);
+  rec.end(SimTime::milliseconds(3), obs::SpanKind::kSession, root, session,
+          "completed");
   const std::string json = rec.to_json();
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
   EXPECT_EQ(json.front(), '[');
-  // Every phase we emitted appears, with ts in microseconds.
-  EXPECT_NE(json.find("\"ph\": \"B\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"E\""), std::string::npos);
+  // Begin/end pairs are async events keyed by the span id; instants and
+  // complete spans keep their own phases. ts/dur are microseconds.
+  EXPECT_NE(json.find("\"ph\": \"b\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\": \"e\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"i\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"C\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
+  EXPECT_EQ(json.find("\"ph\": \"B\""), std::string::npos);
+  EXPECT_EQ(json.find("\"ph\": \"E\""), std::string::npos);
   EXPECT_NE(json.find("\"ts\": 1000.000"), std::string::npos);
   EXPECT_NE(json.find("\"dur\": 6000.000"), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"handshake\""), std::string::npos);
-  EXPECT_NE(json.find("\"cat\": \"tcp\""), std::string::npos);
-  EXPECT_NE(json.find("\"value\": 1234"), std::string::npos);
-}
-
-TEST(ObsTraceTest, SeqTraceMirrorsSamplesIntoInstalledRecorder) {
-  obs::TraceRecorder rec(16);
-  obs::set_tracer(&rec);
-  exp::SeqTrace trace;
-  trace.add_sample(SimTime::seconds(1), 100);
-  trace.add_sample(SimTime::seconds(2), 250);
-  obs::set_tracer(nullptr);
-  trace.add_sample(SimTime::seconds(3), 400);  // recorder detached: dropped
-
-  ASSERT_EQ(trace.samples().size(), 3u);
-  const auto events = rec.snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].phase, obs::TracePhase::kCounter);
-  EXPECT_DOUBLE_EQ(events[0].value, 100.0);
-  EXPECT_DOUBLE_EQ(events[1].value, 250.0);
-  EXPECT_STREQ(events[1].name, "exp.seq.acked_bytes");
+  // name = span kind, cat = emitting layer.
+  EXPECT_NE(json.find("\"name\": \"session\", \"cat\": \"exp\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"name\": \"relay\", \"cat\": \"lsl\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"name\": \"fault_window\", \"cat\": \"fault\""),
+            std::string::npos);
+  // pid 0; the session gets lane 1 (lane 0 is global context).
+  EXPECT_NE(json.find("\"pid\": 0, \"tid\": 1, \"id\": 1,"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"pid\": 0, \"tid\": 0, \"id\": 4,"),
+            std::string::npos);
+  // The end repeats its begin's id; links and payload sit under args.
+  const std::size_t begin_at = json.find("\"ph\": \"b\"");
+  const std::size_t end_at = json.find("\"ph\": \"e\"");
+  EXPECT_LT(begin_at, end_at);
+  EXPECT_EQ(json.find("\"id\": 1,", begin_at), json.find("\"id\": ", begin_at));
+  EXPECT_EQ(json.find("\"id\": 1,", end_at), json.find("\"id\": ", end_at));
+  EXPECT_NE(json.find("\"args\": {\"parent\": 1, \"follows\": 0, "
+                      "\"session\": \"0000000000000abc\", "
+                      "\"reason\": \"retry\", \"value\": 1234}"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@
 
 #include "exp/parallel.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 #include "testbed/grid.hpp"
 #include "testbed/sweep.hpp"
 #include "util/thread_pool.hpp"
@@ -131,27 +131,29 @@ TEST(ParallelTest, GaugeHighWaterResetsPerTrialAndMergesAsMax) {
   }
 }
 
-TEST(ParallelTest, AppendsPerTrialTracesInTrialOrder) {
+TEST(ParallelTest, AppendsPerTrialSpansInTrialOrder) {
   constexpr std::size_t kTrials = 24;
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{2},
                                  std::size_t{8}}) {
-    obs::TraceRecorder parent;
-    obs::set_tracer(&parent);
+    obs::SpanRecorder parent(0);
+    obs::set_spans(&parent);
     exp::TrialOptions options;
     options.jobs = jobs;
     options.scope_metrics = false;
     exp::for_each_trial(kTrials, options, [](std::size_t trial) {
-      obs::tracer()->record(
-          {.ts = SimTime::milliseconds(static_cast<std::int64_t>(trial)),
-           .name = "trial",
-           .phase = obs::TracePhase::kCounter,
-           .value = static_cast<double>(trial)});
+      obs::spans()->instant(
+          SimTime::milliseconds(static_cast<std::int64_t>(trial)),
+          obs::SpanKind::kResume, /*session=*/trial + 1, 0, 0, "",
+          static_cast<double>(trial));
     });
-    obs::set_tracer(nullptr);
+    obs::set_spans(nullptr);
     const auto events = parent.snapshot();
     ASSERT_EQ(events.size(), kTrials) << "jobs=" << jobs;
     for (std::size_t i = 0; i < events.size(); ++i) {
       EXPECT_EQ(events[i].value, static_cast<double>(i)) << "jobs=" << jobs;
+      // Every trial's recorder numbers from 1; the merge rebases them past
+      // the ids already held, so merged ids follow trial order.
+      EXPECT_EQ(events[i].span_id, i + 1) << "jobs=" << jobs;
     }
   }
 }

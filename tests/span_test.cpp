@@ -1,11 +1,14 @@
 // Causal span layer: well-formedness of the span stream under failover and
 // planned handover, exact sum-to-wall time accounting (--explain), flight
-// recorder bounds + post-mortem content, and --jobs determinism of the
-// merged stream.
+// recorder bounds + post-mortem content, --jobs determinism of the merged
+// stream, and inertness: recording spans or metrics never changes a result.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
 #include <map>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "exp/scenario.hpp"
 #include "fault/injector.hpp"
 #include "obs/explain.hpp"
+#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/units.hpp"
 
@@ -489,6 +493,95 @@ TEST(SpanTest, MergedStreamAndExplainAreIdenticalForAnyJobs) {
     EXPECT_EQ(serial_explain,
               obs::render_breakdowns(obs::account_spans(parallel.snapshot())))
         << "jobs=" << jobs;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Inertness
+
+/// One committed scenario run under one instrumentation configuration.
+struct InstrumentedRun {
+  std::vector<exp::ScenarioOutcome> outcomes;
+  sim::KernelProfile profile;
+  std::size_t spans = 0;
+  std::size_t relay_spans = 0;
+};
+
+enum class Sinks { kNone, kRegistry, kRegistryAndSpans };
+
+InstrumentedRun run_instrumented(const exp::Scenario& scenario, Sinks sinks) {
+  InstrumentedRun run;
+  obs::Registry registry;
+  obs::SpanRecorder recorder(0);
+  const bool metrics_were_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(sinks != Sinks::kNone);
+  {
+    std::optional<obs::ScopedRegistry> registry_scope;
+    if (sinks != Sinks::kNone) {
+      registry_scope.emplace(registry);
+    }
+    const obs::ScopedSpanRecorder span_scope(
+        sinks == Sinks::kRegistryAndSpans ? &recorder : nullptr);
+    run.outcomes = exp::run_scenario(scenario, /*seed=*/7,
+                                     SimTime::seconds(3600), &run.profile);
+  }
+  obs::set_metrics_enabled(metrics_were_enabled);
+  for (const obs::SpanEvent& event : recorder.snapshot()) {
+    ++run.spans;
+    run.relay_spans += event.kind == obs::SpanKind::kRelay ? 1 : 0;
+  }
+  return run;
+}
+
+void expect_same_outcomes(const InstrumentedRun& a, const InstrumentedRun& b,
+                          const std::string& where) {
+  EXPECT_EQ(a.profile.events_executed, b.profile.events_executed) << where;
+  EXPECT_EQ(a.profile.events_scheduled, b.profile.events_scheduled) << where;
+  ASSERT_EQ(a.outcomes.size(), b.outcomes.size()) << where;
+  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
+    const auto& x = a.outcomes[i].outcome;
+    const auto& y = b.outcomes[i].outcome;
+    const std::string row = where + " row " + std::to_string(i);
+    EXPECT_EQ(x.completed, y.completed) << row;
+    EXPECT_EQ(x.failed, y.failed) << row;
+    EXPECT_EQ(x.retries, y.retries) << row;
+    EXPECT_EQ(x.recovered, y.recovered) << row;
+    EXPECT_EQ(x.reroutes, y.reroutes) << row;
+    EXPECT_EQ(x.bytes, y.bytes) << row;
+    EXPECT_EQ(x.elapsed, y.elapsed) << row;
+    EXPECT_EQ(x.goodput, y.goodput) << row;
+    EXPECT_EQ(x.session_hash, y.session_hash) << row;
+  }
+}
+
+TEST(SpanTest, InstrumentationNeverChangesScenarioResults) {
+  for (const char* name : {"abilene_uiuc", "two_depot_chain", "high_bdp",
+                           "depot_churn", "forecast_drift"}) {
+    std::ifstream file(std::string(LSL_SCENARIO_DIR) + "/" + name + ".lsl");
+    ASSERT_TRUE(file) << name;
+    std::ostringstream text;
+    text << file.rdbuf();
+    const exp::ParseResult parsed = exp::parse_scenario(text.str());
+    ASSERT_TRUE(parsed.ok()) << name << ": " << parsed.error;
+    for (const exp::Fidelity fidelity :
+         {exp::Fidelity::kPacket, exp::Fidelity::kFlow}) {
+      exp::Scenario scenario = *parsed.scenario;
+      scenario.fidelity = fidelity;
+      const std::string where =
+          std::string(name) +
+          (fidelity == exp::Fidelity::kPacket ? " packet" : " flow");
+      const InstrumentedRun bare = run_instrumented(scenario, Sinks::kNone);
+      const InstrumentedRun metered =
+          run_instrumented(scenario, Sinks::kRegistry);
+      const InstrumentedRun traced =
+          run_instrumented(scenario, Sinks::kRegistryAndSpans);
+      ASSERT_FALSE(bare.outcomes.empty()) << where;
+      EXPECT_EQ(bare.spans, 0u) << where;
+      EXPECT_GT(traced.spans, 0u) << where;
+      EXPECT_GT(traced.relay_spans, 0u) << where;  // every scenario relays
+      expect_same_outcomes(bare, metered, where + " (registry)");
+      expect_same_outcomes(bare, traced, where + " (registry + spans)");
+    }
   }
 }
 

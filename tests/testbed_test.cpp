@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "testbed/abilene_paths.hpp"
 #include "testbed/grid.hpp"
@@ -174,6 +175,14 @@ TEST(SweepTest, ExplicitSizesRespected) {
   EXPECT_EQ(result.speedups_by_size.size(), 2u);
   EXPECT_TRUE(result.speedups_by_size.contains(mib(16)));
   EXPECT_TRUE(result.speedups_by_size.contains(mib(128)));
+}
+
+TEST(SweepTest, RejectsZeroRouteShards) {
+  const auto grid = SyntheticGrid::abilene_core(AbileneCoreConfig{}, 9);
+  SweepConfig config;
+  config.route_shards = 0;
+  EXPECT_THROW((void)run_speedup_sweep(grid, config, 31),
+               std::invalid_argument);
 }
 
 TEST(PathScenarioTest, RttsMatchPaperTable) {

@@ -30,7 +30,6 @@
 #include "obs/explain.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "sched/route_advisor.hpp"
 #include "sched/scheduler.hpp"
 #include "tcp/connection.hpp"
@@ -47,11 +46,11 @@ void usage() {
                "              [--fidelity=packet|flow]\n"
                "              [--cca=reno|newreno|cubic|bbr]\n"
                "              [--metrics=<path>] [--metrics-format=json|prom]\n"
-               "              [--trace=<path>] [--spans=<path>] [--profile]\n"
+               "              [--trace=<path>] [--profile]\n"
                "              [--explain[=SESSION]]\n"
                "       lslsim --pool-size N [--seed N] [--jobs N]\n"
                "              [--fidelity=packet|flow] [--metrics=<path>]\n"
-               "              [--route-service [--shards=N]]\n"
+               "              [--shards=N]\n"
                "  Runs the transfers described in the scenario file over the\n"
                "  packet-level simulator and prints a result row for each.\n"
                "  --sweep re-runs every transfer at doubling sizes from 1 MiB\n"
@@ -74,9 +73,8 @@ void usage() {
                "  --metrics=<path> writes a snapshot of every metric;\n"
                "  --metrics-format=prom selects the Prometheus text format\n"
                "  instead of JSON.\n"
-               "  --trace=<path> writes Chrome trace-event JSON (load it in\n"
-               "  Perfetto or chrome://tracing).\n"
-               "  --spans=<path> writes the causal span stream as JSON.\n"
+               "  --trace=<path> writes the full causal span stream as Chrome\n"
+               "  trace-event JSON (load it in Perfetto or chrome://tracing).\n"
                "  --explain prints a per-transfer wall-time breakdown\n"
                "  (streaming / connect / stall / backoff / probe / handover\n"
                "  / retransmit-dominated); --explain=SESSION limits it to\n"
@@ -87,11 +85,10 @@ void usage() {
                "  measurement sweep). Equivalent to a scenario file holding\n"
                "  just `pool size=N`; a scenario's pool directive can also\n"
                "  set epsilon/iterations/cases/sizes/drift.\n"
-               "  --route-service discovers the pool sweep's routes through\n"
-               "  the sharded, epoch-versioned RouteService snapshot instead\n"
-               "  of the direct scheduler; --shards=N picks the shard count\n"
-               "  (default 1, which reproduces the direct scheduler's output\n"
-               "  bit for bit -- the CI determinism smoke pins this).\n"
+               "  The pool sweep discovers its routes through the sharded,\n"
+               "  epoch-versioned RouteService snapshot; --shards=N picks\n"
+               "  the shard count (default 1: one minimax tree per source,\n"
+               "  exactly as the scheduler builds them).\n"
                "  --profile prints the simulation kernel's self-profile.\n"
                "  --verify[=RUNS] model-checks the scenario instead of\n"
                "  running it once: DFS over event interleavings (fault vs\n"
@@ -161,14 +158,12 @@ int main(int argc, char** argv) {
   bool profile = false;
   std::size_t jobs = 1;
   std::size_t pool_size = 0;
-  bool route_service = false;
   std::size_t route_shards = 1;
   const char* fidelity_arg = nullptr;
   const char* cca_arg = nullptr;
   const char* metrics_path = nullptr;
   bool metrics_prom = false;
   const char* trace_path = nullptr;
-  const char* spans_path = nullptr;
   bool explain = false;
   std::uint64_t explain_session = 0;
   bool verify = false;
@@ -188,10 +183,7 @@ int main(int argc, char** argv) {
       jobs = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--pool-size") == 0 && i + 1 < argc) {
       pool_size = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--route-service") == 0) {
-      route_service = true;
     } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      route_service = true;
       route_shards = std::strtoull(argv[i] + 9, nullptr, 10);
       if (route_shards == 0) {
         std::fprintf(stderr, "lslsim: --shards needs a positive count\n");
@@ -228,8 +220,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
       trace_path = argv[i] + 8;
-    } else if (std::strncmp(argv[i], "--spans=", 8) == 0) {
-      spans_path = argv[i] + 8;
     } else if (std::strcmp(argv[i], "--explain") == 0) {
       explain = true;
     } else if (std::strncmp(argv[i], "--explain=", 10) == 0) {
@@ -270,14 +260,10 @@ int main(int argc, char** argv) {
   if (metrics_path != nullptr) {
     preregister_metrics();
   }
-  lsl::obs::TraceRecorder recorder;
-  if (trace_path != nullptr) {
-    lsl::obs::set_tracer(&recorder);
-  }
   // Span recording is always on: a bounded per-session flight recorder in
   // normal runs (cheap; feeds the failure post-mortem), the full unbounded
-  // log when --explain or --spans needs complete coverage.
-  const bool full_spans = explain || spans_path != nullptr;
+  // log when --explain or --trace needs complete coverage.
+  const bool full_spans = explain || trace_path != nullptr;
   lsl::obs::SpanRecorder span_recorder(full_spans ? 0 : 64);
   lsl::obs::set_spans(&span_recorder);
 
@@ -419,7 +405,7 @@ int main(int argc, char** argv) {
   lsl::sim::KernelProfile total_profile;
 
   // Everything after the runs: kernel profile on stdout, metrics snapshot
-  // and Chrome trace to their files.
+  // and the span stream's Chrome trace to their files.
   const auto finish = [&](bool ok) {
     if (explain) {
       const auto breakdowns =
@@ -448,15 +434,8 @@ int main(int argc, char** argv) {
         ok = false;
       }
     }
-    if (trace_path != nullptr) {
-      if (!recorder.write_json(trace_path)) {
-        std::fprintf(stderr, "lslsim: cannot write %s\n", trace_path);
-        ok = false;
-      }
-      lsl::obs::set_tracer(nullptr);
-    }
-    if (spans_path != nullptr && !span_recorder.write_json(spans_path)) {
-      std::fprintf(stderr, "lslsim: cannot write %s\n", spans_path);
+    if (trace_path != nullptr && !span_recorder.write_json(trace_path)) {
+      std::fprintf(stderr, "lslsim: cannot write %s\n", trace_path);
       ok = false;
     }
     if (!ok) {
@@ -487,13 +466,7 @@ int main(int argc, char** argv) {
     sweep_config.max_size_exp = pool.max_size_exp;
     sweep_config.matrix_drift_sigma = pool.drift_sigma;
     sweep_config.jobs = jobs;
-    if (route_service) {
-      sweep_config.route_shards = route_shards;
-      // stderr only: the stdout sweep report stays bitwise identical to the
-      // direct-scheduler path at one shard (the CI determinism smoke).
-      std::fprintf(stderr, "lslsim: routing via RouteService (%zu shard%s)\n",
-                   route_shards, route_shards == 1 ? "" : "s");
-    }
+    sweep_config.route_shards = route_shards;
     // Unset: the analytic flow model (the paper's sweep). A fidelity
     // directive or --fidelity flag runs every measurement on the simulator
     // at that fidelity instead.
