@@ -42,7 +42,9 @@ void BM_ScheduleAndRunEvents(benchmark::State& state) {
 BENCHMARK(BM_ScheduleAndRunEvents)->Arg(1024)->Arg(65536);
 
 void BM_TimerChurn(benchmark::State& state) {
-  // Arm/cancel cycles dominate TCP timer traffic.
+  // One schedule plus one cancel per cycle: what a timer pulled earlier
+  // costs. TCP's per-ACK re-arm to a later deadline takes Timer's lazy path
+  // and schedules nothing.
   sim::Simulator sim;
   sim::Timer timer(sim, [] {});
   for (auto _ : state) {

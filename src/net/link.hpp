@@ -1,5 +1,23 @@
 // Unidirectional link with a drop-tail byte-bounded queue, store-and-forward
 // serialization, fixed propagation delay, and Bernoulli packet loss.
+//
+// One kernel event per packet: on a drop-tail FIFO a packet's departure,
+// max(now, previous departure) + serialization time, is known when it is
+// enqueued, so enqueue() draws its fate and schedules only its arrival
+// ("net.link.propagate"). Departures are settled lazily against the clock:
+//
+// - Tie rule. A packet whose serialization ends exactly at now() still
+//   occupies the queue (and is still subject to set_rate / set_loss_rate);
+//   only departures strictly before now() have happened. That is the order
+//   a link with separate transmit and propagate events produces whenever
+//   the caller's event was scheduled before the departure it coincides with.
+// - Draws. Loss, then jitter, come from the link RNG in FIFO order, as if
+//   drawn at transmit completion. The RNG is checkpointed at the oldest
+//   packet still serializing; set_loss_rate() rewinds to that checkpoint and
+//   redraws every packet not yet departed, so a loss-rate change applies to
+//   exactly the packets that complete transmission after it.
+// - set_rate() re-times every packet that has not started serializing; the
+//   one in service keeps its departure.
 #pragma once
 
 #include <cstdint>
@@ -68,10 +86,15 @@ class Link {
   void enqueue(Packet packet);
 
   [[nodiscard]] const LinkConfig& config() const { return config_; }
-  [[nodiscard]] const LinkStats& stats() const { return stats_; }
-  [[nodiscard]] std::uint64_t queued_bytes() const { return queued_bytes_; }
+  /// Counts as of now(): a packet is sent (and lost) once its serialization
+  /// has ended, at or before now(). A lost packet schedules no event, so a
+  /// run that drains before a lost packet departs never counts it.
+  [[nodiscard]] LinkStats stats() const;
+  /// Bytes waiting or serializing, by the tie rule above.
+  [[nodiscard]] std::uint64_t queued_bytes() const;
 
-  /// Mutable loss-rate knob; experiments vary path quality mid-run.
+  /// Mutable loss-rate knob; experiments vary path quality mid-run. Applies
+  /// to every packet whose transmission has not completed yet.
   void set_loss_rate(double p);
 
   /// Mutable rate knob (brownouts throttle links mid-run). Takes effect at
@@ -89,18 +112,49 @@ class Link {
   [[nodiscard]] double fluid_capacity_bps() const;
 
  private:
-  void start_transmission();
-  void finish_transmission();
+  /// A packet's draws: lost at transmit completion, else its total delay.
+  struct Fate {
+    SimTime delay;  ///< propagation plus drawn jitter
+    bool lost = false;
+  };
+
+  /// A packet from enqueue until its arrival (or, if lost, its departure).
+  struct InFlight {
+    Packet packet;
+    SimTime start;   ///< serialization start
+    SimTime depart;  ///< serialization end
+    Fate fate;
+    sim::EventId arrival;
+    bool delivered = false;
+  };
+
+  /// Draw loss, then (for a survivor) jitter, from `rng`.
+  [[nodiscard]] Fate draw(Rng& rng) const;
+  /// True once `entry` has left the queue by the tie rule.
+  [[nodiscard]] bool departed(const InFlight& entry) const {
+    return entry.depart < sim_.now() || entry.delivered;
+  }
+  /// (Re)schedule flight_[index]'s arrival from its departure and fate.
+  void schedule_arrival(std::size_t index);
+  void arrive(std::uint64_t seq);
+  /// Settle every departed entry: count it, replay its draws on the
+  /// checkpoint RNG, and free entries that are finished.
+  void retire();
+  static void count_departure(const InFlight& entry, LinkStats& stats);
   void sync_fluid();
 
   sim::Simulator& sim_;
   LinkConfig config_;
-  Rng rng_;
+  Rng rng_;         ///< state after the draws of every entry
+  Rng serial_rng_;  ///< state before the draws of flight_[serializing_]
   DeliverFn deliver_;
-  std::deque<Packet> queue_;
-  std::uint64_t queued_bytes_ = 0;
-  bool transmitting_ = false;
-  LinkStats stats_;
+  /// Entries in enqueue order; [0, serializing_) have departed and are
+  /// awaiting arrival, the rest are waiting or serializing.
+  std::deque<InFlight> flight_;
+  std::uint64_t front_seq_ = 0;  ///< sequence number of flight_.front()
+  std::size_t serializing_ = 0;
+  std::uint64_t queued_bytes_ = 0;  ///< bytes of entries not yet departed
+  LinkStats stats_;  ///< settled departures only (see stats())
   flow::FluidNetwork* fluid_ = nullptr;
   std::uint32_t fluid_id_ = 0;
 };

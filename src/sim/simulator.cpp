@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <map>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -28,6 +29,27 @@ double wall_now() {
 // ---------------------------------------------------------------------------
 // KernelProfile
 
+namespace {
+
+using CategoryCounts = std::vector<std::pair<std::string, std::uint64_t>>;
+
+/// Counts keyed by category pointer, merged by content (identical literals
+/// may alias as distinct pointers across translation units) and sorted
+/// descending by count.
+template <typename Map>
+CategoryCounts merge_by_content(const Map& counts) {
+  std::map<std::string, std::uint64_t> merged;
+  for (const auto& [category, count] : counts) {
+    merged[category] += count;
+  }
+  CategoryCounts out(merged.begin(), merged.end());
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.second > b.second; });
+  return out;
+}
+
+}  // namespace
+
 std::string KernelProfile::str() const {
   char buf[256];
   std::string out = "kernel profile:\n";
@@ -51,10 +73,19 @@ std::string KernelProfile::str() const {
     out += buf;
   }
   if (!category_counts.empty()) {
-    out += "  events scheduled by category:\n";
+    std::snprintf(buf, sizeof buf, "  %-26s %10s %10s\n", "events by category",
+                  "scheduled", "executed");
+    out += buf;
     for (const auto& [category, count] : category_counts) {
-      std::snprintf(buf, sizeof buf, "    %-24s %llu\n", category.c_str(),
-                    static_cast<unsigned long long>(count));
+      std::string executed = category_executed.empty() ? "-" : "0";
+      for (const auto& [name, n] : category_executed) {
+        if (name == category) {
+          executed = std::to_string(n);
+        }
+      }
+      std::snprintf(buf, sizeof buf, "    %-24s %10llu %10s\n",
+                    category.c_str(), static_cast<unsigned long long>(count),
+                    executed.c_str());
       out += buf;
     }
   }
@@ -82,16 +113,13 @@ void KernelProfile::merge_from(const KernelProfile& other) {
   queue_high_water = std::max(queue_high_water, other.queue_high_water);
   sim_time += other.sim_time;
   wall_seconds += other.wall_seconds;
-  std::map<std::string, std::uint64_t> merged;
-  for (const auto& [category, count] : category_counts) {
-    merged[category] += count;
-  }
-  for (const auto& [category, count] : other.category_counts) {
-    merged[category] += count;
-  }
-  category_counts.assign(merged.begin(), merged.end());
-  std::sort(category_counts.begin(), category_counts.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
+  const auto merge = [](CategoryCounts& mine, const CategoryCounts& theirs) {
+    CategoryCounts both = mine;
+    both.insert(both.end(), theirs.begin(), theirs.end());
+    mine = merge_by_content(both);
+  };
+  merge(category_counts, other.category_counts);
+  merge(category_executed, other.category_executed);
 }
 
 // ---------------------------------------------------------------------------
@@ -233,6 +261,12 @@ EventId Simulator::schedule_at(SimTime when, Action action,
   if (category != nullptr) {
     ++category_counts_[category];
   }
+  if (profiling_) {
+    if (slot_category_.size() < slots_.size()) {
+      slot_category_.resize(slots_.size());
+    }
+    slot_category_[slot] = category;
+  }
   if (choice_hook_ != nullptr) {
     if (slot_meta_.size() < slots_.size()) {
       slot_meta_.resize(slots_.size());
@@ -272,7 +306,7 @@ bool Simulator::cancel(EventId id) {
   // the kernel (schedule, cancel), and by now the slot is fully retired.
   const Action dead = std::move(action_of(slot));
   // The dead heap key is dropped lazily when it surfaces at the top -- but
-  // when corpses outnumber live entries, arm/cancel churn (TCP timers) is
+  // when corpses outnumber live entries, schedule/cancel churn is
   // accumulating them faster than pops retire them, so compact.
   if (heap_.size() > 64 && heap_.size() > 2 * live_events_) {
     compact_heap();
@@ -300,12 +334,31 @@ bool Simulator::step() {
   }
   if (profiling_) {
     const double start = wall_now();
-    dispatch_top();
+    dispatch_top_profiled();
     wall_seconds_ += wall_now() - start;
     return true;
   }
   dispatch_top();
   return true;
+}
+
+void Simulator::set_profiling(bool enabled) {
+  if (enabled && !profiling_) {
+    // Slots scheduled while profiling was off carry no category record.
+    slot_category_.assign(slots_.size(), nullptr);
+  }
+  profiling_ = enabled;
+}
+
+void Simulator::count_execution(std::uint64_t slot) {
+  if (slot < slot_category_.size() && slot_category_[slot] != nullptr) {
+    ++executed_counts_[slot_category_[slot]];
+  }
+}
+
+void Simulator::dispatch_top_profiled() {
+  count_execution(heap_.front().key & kSlotMask);
+  dispatch_top();
 }
 
 void Simulator::dispatch_top() {
@@ -437,6 +490,9 @@ void Simulator::dispatch_entry(const Entry& e) {
     now_ = e.when;
   }
   ++events_executed_;
+  if (profiling_) {
+    count_execution(slot);
+  }
   Action& action = action_of(slot);
   const std::uint64_t enclosing = dispatching_key_;
   dispatching_key_ = e.key;
@@ -461,6 +517,8 @@ std::uint64_t Simulator::run(SimTime limit) {
     }
     if (choice_hook_ != nullptr) {
       dispatch_choice(limit);
+    } else if (profiling_) {
+      dispatch_top_profiled();
     } else {
       dispatch_top();
     }
@@ -480,15 +538,8 @@ KernelProfile Simulator::profile() const {
   p.queue_high_water = queue_high_water_;
   p.sim_time = now_;
   p.wall_seconds = wall_seconds_;
-  // Merge by content: identical category literals may alias as distinct
-  // pointers across translation units.
-  std::map<std::string, std::uint64_t> merged;
-  for (const auto& [category, count] : category_counts_) {
-    merged[category] += count;
-  }
-  p.category_counts.assign(merged.begin(), merged.end());
-  std::sort(p.category_counts.begin(), p.category_counts.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
+  p.category_counts = merge_by_content(category_counts_);
+  p.category_executed = merge_by_content(executed_counts_);
   return p;
 }
 

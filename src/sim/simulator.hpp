@@ -18,7 +18,8 @@
 // Observability: the kernel always keeps cheap counters (events scheduled /
 // executed / cancelled, live-queue-depth high water, per-category schedule
 // counts); set_profiling(true) additionally samples wall-clock time around
-// event dispatch so profile() can report the simulated-vs-wall ratio.
+// event dispatch so profile() can report the simulated-vs-wall ratio, and
+// counts dispatches per category.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +59,9 @@ struct KernelProfile {
   /// Events scheduled per category tag, descending by count. Untagged
   /// events are not listed (their total is events_scheduled minus the sum).
   std::vector<std::pair<std::string, std::uint64_t>> category_counts;
+  /// Events executed per category tag, descending by count; recorded only
+  /// for events scheduled while profiling was on (empty otherwise).
+  std::vector<std::pair<std::string, std::uint64_t>> category_executed;
 
   /// Simulated seconds advanced per wall second (0 when not profiled).
   [[nodiscard]] double time_ratio() const {
@@ -152,9 +156,10 @@ class Simulator {
     return events_executed_;
   }
 
-  /// Enable wall-clock sampling around dispatch (off by default: two clock
-  /// reads per event are measurable on micro-benchmarks).
-  void set_profiling(bool enabled) { profiling_ = enabled; }
+  /// Enable wall-clock sampling around dispatch and per-category execution
+  /// counts (off by default: two clock reads per event are measurable on
+  /// micro-benchmarks).
+  void set_profiling(bool enabled);
   [[nodiscard]] bool profiling() const { return profiling_; }
 
   /// Install (or with nullptr, remove) a model-checking choice hook. While
@@ -242,6 +247,9 @@ class Simulator {
   /// Pop the live top (settle_top() must have returned true), advance the
   /// clock, and run its action.
   void dispatch_top();
+  /// dispatch_top() plus the per-category execution count.
+  void dispatch_top_profiled();
+  void count_execution(std::uint64_t slot);
 
   // ---- choice-hook (model checking) slow path ----------------------------
   /// Collect every live entry in heap_[i]'s subtree with when <= window_end
@@ -298,6 +306,10 @@ class Simulator {
   /// literals from different translation units may alias as distinct
   /// pointers, so profile() merges by content.
   std::unordered_map<const char*, std::uint64_t> category_counts_;
+  /// Category of each slot's event, written only while profiling so the
+  /// plain schedule and dispatch paths never touch it.
+  std::vector<const char*> slot_category_;
+  std::unordered_map<const char*, std::uint64_t> executed_counts_;
 };
 
 }  // namespace lsl::sim

@@ -4,6 +4,14 @@
 // cancelled constantly; Timer wraps the generation-counted cancellation
 // dance so the protocol code can't leak stale events. The callback is fixed
 // at construction; arming only chooses the deadline.
+//
+// Re-arming is lazy. An RTO is pushed later on nearly every ACK, so arm()
+// with a deadline at or after the pending wake-up only moves deadline_; the
+// wake-up, when it comes, sees the deadline still ahead and re-schedules for
+// the remainder. A TCP flow therefore schedules about one RTO event per RTO
+// interval rather than one arm/cancel pair per ACK. An earlier deadline
+// cancels the wake-up and schedules anew. The callback runs exactly once, at
+// the last deadline set.
 #pragma once
 
 #include <functional>
@@ -28,15 +36,14 @@ class Timer {
 
   /// (Re)arm the timer to fire `delay` from now. A pending arm is replaced.
   void arm(SimTime delay) {
-    cancel();
     deadline_ = sim_.now() + delay;
-    pending_ = sim_.schedule_after(
-        delay,
-        [this] {
-          pending_ = EventId{};
-          on_fire_();
-        },
-        category_);
+    if (pending_.valid()) {
+      if (deadline_ >= wake_) {
+        return;  // the pending wake-up re-checks deadline_
+      }
+      sim_.cancel(pending_);
+    }
+    schedule(deadline_);
   }
 
   /// Arm only if not already armed.
@@ -59,11 +66,27 @@ class Timer {
   [[nodiscard]] SimTime deadline() const { return deadline_; }
 
  private:
+  void schedule(SimTime when) {
+    wake_ = when;
+    pending_ = sim_.schedule_at(
+        when,
+        [this] {
+          pending_ = EventId{};
+          if (deadline_ > sim_.now()) {
+            schedule(deadline_);  // pushed back since this wake-up was set
+          } else {
+            on_fire_();
+          }
+        },
+        category_);
+  }
+
   Simulator& sim_;
   std::function<void()> on_fire_;
   const char* category_ = nullptr;
   EventId pending_{};
   SimTime deadline_ = SimTime::zero();
+  SimTime wake_ = SimTime::zero();  ///< when the pending event fires
 };
 
 }  // namespace lsl::sim

@@ -469,10 +469,13 @@ void Connection::arm_rto() {
 }
 
 void Connection::restart_rto_if_needed() {
-  rto_timer_.cancel();
+  // arm() replaces a pending deadline lazily; cancelling first would force
+  // a fresh kernel event on every ACK.
   if (flight() > 0) {
     rto_timer_.arm(rtt_.rto());
     rto_armed_at_ = sim_.now();
+  } else {
+    rto_timer_.cancel();
   }
 }
 

@@ -426,6 +426,35 @@ TEST(ObsKernelTest, ProfileCountsCategoriesAndHighWater) {
   EXPECT_FALSE(profile.str().empty());
 }
 
+TEST(ObsKernelTest, ProfileCountsExecutionsPerCategory) {
+  sim::Simulator simulator;
+  // Scheduled before profiling: counted as scheduled, never as executed.
+  simulator.schedule_after(SimTime::milliseconds(1), [] {}, "test.early");
+  simulator.set_profiling(true);
+  for (int i = 0; i < 3; ++i) {
+    simulator.schedule_after(SimTime::milliseconds(i + 1), [] {}, "test.tick");
+  }
+  ASSERT_TRUE(simulator.cancel(
+      simulator.schedule_after(SimTime::seconds(1), [] {}, "test.tick")));
+  simulator.run();
+
+  const auto profile = simulator.profile();
+  ASSERT_EQ(profile.category_counts.size(), 2u);
+  EXPECT_EQ(profile.category_counts[0],
+            (std::pair<std::string, std::uint64_t>{"test.tick", 4}));
+  ASSERT_EQ(profile.category_executed.size(), 1u);
+  EXPECT_EQ(profile.category_executed[0],
+            (std::pair<std::string, std::uint64_t>{"test.tick", 3}));
+  const std::string report = profile.str();
+  EXPECT_NE(report.find("scheduled"), std::string::npos);
+  EXPECT_NE(report.find("executed"), std::string::npos);
+
+  sim::KernelProfile merged = profile;
+  merged.merge_from(profile);
+  ASSERT_EQ(merged.category_executed.size(), 1u);
+  EXPECT_EQ(merged.category_executed[0].second, 6u);
+}
+
 TEST(ObsKernelTest, ProfileMergeAccumulates) {
   sim::KernelProfile a;
   a.events_scheduled = 10;

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "exp/scenario.hpp"
+#include "sim/simulator.hpp"
 
 namespace lsl::exp {
 namespace {
@@ -281,6 +286,54 @@ TEST(ScenarioRunnerTest, DeterministicForSeed) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].outcome.elapsed, b[i].outcome.elapsed);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Event budget: the packet engine's kernel cost, in counts only (so the gate
+// is machine-independent). One arrival event per packet per link, and TCP
+// timers that re-arm lazily instead of scheduling on every ACK.
+
+std::uint64_t schedules_of(const sim::KernelProfile& profile,
+                           const std::string& category) {
+  for (const auto& [name, count] : profile.category_counts) {
+    if (name == category) {
+      return count;
+    }
+  }
+  return 0;
+}
+
+TEST(EventBudgetTest, PacketScenariosScheduleOneEventPerHop) {
+  // Seed-7 events_scheduled of the two-event link with eager timers, which
+  // scheduled a net.link.tx beside every net.link.propagate and an RTO
+  // arm/cancel pair per ACK.
+  const std::pair<const char*, std::uint64_t> kTwoEventCounts[] = {
+      {"two_depot_chain", 223'410}, {"abilene_uiuc", 853'471}};
+  for (const auto& [name, two_event_count] : kTwoEventCounts) {
+    std::ifstream file(std::string(LSL_SCENARIO_DIR) + "/" + name + ".lsl");
+    ASSERT_TRUE(file) << name;
+    std::ostringstream text;
+    text << file.rdbuf();
+    const ParseResult parsed = parse_scenario(text.str());
+    ASSERT_TRUE(parsed.ok()) << name << ": " << parsed.error;
+    sim::KernelProfile profile;
+    const auto outcomes = run_scenario(*parsed.scenario, /*seed=*/7,
+                                       SimTime::seconds(3600), &profile);
+    for (const auto& row : outcomes) {
+      EXPECT_TRUE(row.outcome.completed) << name;
+    }
+    for (const auto& [category, count] : profile.category_counts) {
+      EXPECT_NE(category, "net.link.tx") << name;
+    }
+    EXPECT_LE(static_cast<double>(profile.events_scheduled),
+              0.45 * static_cast<double>(two_event_count))
+        << name;
+    const std::uint64_t propagate = schedules_of(profile, "net.link.propagate");
+    EXPECT_GT(propagate, 0u) << name;
+    EXPECT_LE(static_cast<double>(schedules_of(profile, "tcp.rto")),
+              0.01 * static_cast<double>(propagate))
+        << name;
   }
 }
 

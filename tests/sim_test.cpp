@@ -319,6 +319,81 @@ TEST(TimerTest, CanRearmFromCallback) {
   EXPECT_EQ(sim.now(), 15_ms);
 }
 
+/// Kernel schedules made by timers tagged "test.timer".
+std::uint64_t timer_schedules(const Simulator& sim) {
+  for (const auto& [category, count] : sim.profile().category_counts) {
+    if (category == "test.timer") {
+      return count;
+    }
+  }
+  return 0;
+}
+
+TEST(TimerTest, AdvancingRearmsScheduleAtMostTwiceAndFireOnceAtLastDeadline) {
+  Simulator sim;
+  std::vector<SimTime> fired;
+  Timer t(sim, [&] { fired.push_back(sim.now()); }, "test.timer");
+  // An RTO-style pattern: re-armed every millisecond, each deadline later
+  // than the last, all inside the first wake-up's interval.
+  constexpr int kRearms = 50;
+  for (int i = 0; i < kRearms; ++i) {
+    sim.schedule_at(SimTime::milliseconds(i), [&t] { t.arm(100_ms); });
+  }
+  sim.run();
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0], SimTime::milliseconds(kRearms - 1) + 100_ms);
+  EXPECT_LE(timer_schedules(sim), 2u);
+  EXPECT_EQ(sim.profile().events_cancelled, 0u);
+}
+
+TEST(TimerTest, EarlierDeadlineFiresEarly) {
+  Simulator sim;
+  std::vector<SimTime> fired;
+  Timer t(sim, [&] { fired.push_back(sim.now()); });
+  t.arm(50_ms);
+  sim.schedule_at(5_ms, [&t] { t.arm(10_ms); });  // deadline 15 ms < 50 ms
+  sim.run();
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0], 15_ms);
+  EXPECT_EQ(sim.now(), 15_ms);  // the replaced 50 ms wake-up never ran
+}
+
+TEST(TimerTest, CancelAfterLazyPushNeverFires) {
+  Simulator sim;
+  int fires = 0;
+  Timer t(sim, [&] { ++fires; });
+  t.arm(10_ms);
+  sim.schedule_at(5_ms, [&t] { t.arm(20_ms); });  // pushed to 25 ms lazily
+  sim.schedule_at(12_ms, [&t] {
+    // The 10 ms wake-up has come and gone; the timer is still armed.
+    EXPECT_TRUE(t.armed());
+    EXPECT_EQ(t.deadline(), 25_ms);
+    t.cancel();
+  });
+  sim.run();
+  EXPECT_EQ(fires, 0);
+  EXPECT_FALSE(t.armed());
+  EXPECT_EQ(sim.now(), 12_ms);
+}
+
+TEST(TimerTest, LazyRearmFromCallback) {
+  Simulator sim;
+  std::vector<SimTime> fired;
+  Timer* tp = nullptr;
+  Timer t(sim, [&] {
+    fired.push_back(sim.now());
+    if (fired.size() < 3) {
+      tp->arm(5_ms);
+      tp->arm(8_ms);  // a lazy push of the wake-up just scheduled
+    }
+  });
+  tp = &t;
+  t.arm(5_ms);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<SimTime>{5_ms, 13_ms, 21_ms}));
+  EXPECT_FALSE(t.armed());
+}
+
 TEST(TimerTest, DestructionCancelsPendingEvent) {
   Simulator sim;
   int fires = 0;
