@@ -38,7 +38,7 @@ void PacketLog::attach(net::Link& link, sim::Simulator& simulator) {
   // current one and forward after recording.
   auto forward = link.take_deliver();
   link.set_deliver([this, &simulator,
-                    forward = std::move(forward)](net::Packet packet) {
+                    forward = std::move(forward)](net::Packet&& packet) {
     PacketLogEntry entry;
     entry.at = simulator.now();
     entry.src = packet.src;

@@ -9,6 +9,12 @@
 
 namespace lsl::net {
 
+namespace {
+
+constexpr const char* kPropagate = "net.link.propagate";
+
+}  // namespace
+
 Link::Link(sim::Simulator& simulator, LinkConfig config, Rng rng)
     : sim_(simulator), config_(config), rng_(rng), serial_rng_(rng) {}
 
@@ -17,13 +23,18 @@ void Link::set_loss_rate(double p) {
     retire();  // departures before now keep the old rate's draws
     config_.loss_rate = p;
     rng_ = serial_rng_;
+    bool redrawn = false;
     for (std::size_t i = serializing_; i < flight_.size(); ++i) {
       InFlight& entry = flight_[i];
       const Fate fate = draw(rng_);
       if (fate.lost != entry.fate.lost || fate.delay != entry.fate.delay) {
         entry.fate = fate;
-        schedule_arrival(i);
+        reserve_arrival(entry);
+        redrawn = true;
       }
+    }
+    if (redrawn) {
+      reschedule_head();
     }
   }
   sync_fluid();
@@ -32,6 +43,7 @@ void Link::set_loss_rate(double p) {
 void Link::set_rate(Bandwidth rate) {
   config_.rate = rate;
   const SimTime now = sim_.now();
+  bool retimed = false;
   for (std::size_t i = serializing_; i < flight_.size(); ++i) {
     InFlight& entry = flight_[i];
     // In service: started before now, or starts now on an idle link (its
@@ -45,8 +57,12 @@ void Link::set_rate(Bandwidth rate) {
         entry.start + rate.transmit_time(entry.packet.wire_bytes());
     if (depart != entry.depart) {
       entry.depart = depart;
-      schedule_arrival(i);
+      reserve_arrival(entry);
+      retimed = true;
     }
+  }
+  if (retimed) {
+    reschedule_head();
   }
   sync_fluid();
 }
@@ -91,7 +107,7 @@ std::uint64_t Link::queued_bytes() const {
   return bytes;
 }
 
-void Link::enqueue(Packet packet) {
+void Link::enqueue(Packet&& packet) {
   retire();
   const std::uint32_t size = packet.wire_bytes();
   if (queued_bytes_ + size > config_.queue_capacity_bytes) {
@@ -113,7 +129,19 @@ void Link::enqueue(Packet packet) {
   entry.depart = entry.start + config_.rate.transmit_time(size);
   entry.packet = std::move(packet);
   entry.fate = draw(rng_);
-  schedule_arrival(flight_.size() - 1);
+  reserve_arrival(entry);
+  if (entry.arrival_seq == 0) {
+    return;  // lost: no arrival
+  }
+  if (head_.valid()) {
+    // Only jitter lets a later packet undercut the head (its seq is larger).
+    const InFlight& head = flight_[head_index_ - front_index_];
+    if (entry.arrival() >= head.arrival()) {
+      return;
+    }
+    sim_.unschedule(head_);
+  }
+  schedule_head(flight_.size() - 1);
 }
 
 Link::Fate Link::draw(Rng& rng) const {
@@ -125,25 +153,62 @@ Link::Fate Link::draw(Rng& rng) const {
   return fate;
 }
 
-void Link::schedule_arrival(std::size_t index) {
-  InFlight& entry = flight_[index];
-  if (entry.arrival.valid()) {
-    sim_.cancel(entry.arrival);  // re-timed or redrawn
+void Link::reserve_arrival(InFlight& entry) {
+  if (entry.arrival_seq != 0) {
+    sim_.withdraw_reserved(kPropagate);  // re-timed or redrawn
   }
-  entry.arrival = entry.fate.lost
-                      ? sim::EventId{}
-                      : sim_.schedule_at(
-                            entry.depart + entry.fate.delay,
-                            [this, seq = front_seq_ + index] { arrive(seq); },
-                            "net.link.propagate");
+  entry.arrival_seq = entry.fate.lost ? 0 : sim_.reserve_seq(kPropagate);
 }
 
-void Link::arrive(std::uint64_t seq) {
-  InFlight& entry = flight_[seq - front_seq_];
-  entry.arrival = sim::EventId{};
+void Link::schedule_head(std::size_t index) {
+  const InFlight& entry = flight_[index];
+  head_index_ = front_index_ + index;
+  head_seq_ = entry.arrival_seq;
+  head_ = sim_.schedule_reserved(entry.arrival(), entry.arrival_seq,
+                                 [this] { arrive(); }, kPropagate);
+}
+
+void Link::reschedule_head() {
+  // Least (arrival, seq) over pending arrivals. Departures never decrease
+  // along the FIFO and every arrival is at least depart + propagation, so
+  // no entry past the first that starts later than the best can beat it.
+  std::size_t best = flight_.size();
+  for (std::size_t i = 0; i < flight_.size(); ++i) {
+    const InFlight& entry = flight_[i];
+    if (best < flight_.size() &&
+        entry.depart + config_.propagation_delay > flight_[best].arrival()) {
+      break;
+    }
+    if (entry.arrival_seq != 0 &&
+        (best == flight_.size() ||
+         entry.arrival() < flight_[best].arrival() ||
+         (entry.arrival() == flight_[best].arrival() &&
+          entry.arrival_seq < flight_[best].arrival_seq))) {
+      best = i;
+    }
+  }
+  if (head_.valid()) {
+    if (best < flight_.size() && flight_[best].arrival_seq == head_seq_) {
+      return;  // a seq is reserved once per timing, so the head is unchanged
+    }
+    sim_.unschedule(head_);
+    head_ = sim::EventId{};
+  }
+  if (best < flight_.size()) {
+    schedule_head(best);
+  }
+}
+
+void Link::arrive() {
+  InFlight& entry = flight_[head_index_ - front_index_];
+  head_ = sim::EventId{};
+  entry.arrival_seq = 0;
   entry.delivered = true;
   Packet packet = std::move(entry.packet);
   retire();
+  // Hand the kernel the next arrival before delivering: the receiver may
+  // enqueue on this link again.
+  reschedule_head();
   LSL_ASSERT_MSG(static_cast<bool>(deliver_), "link has no receiver");
   deliver_(std::move(packet));
 }
@@ -176,7 +241,7 @@ void Link::retire() {
   while (serializing_ > 0 &&
          (flight_.front().fate.lost || flight_.front().delivered)) {
     flight_.pop_front();
-    ++front_seq_;
+    ++front_index_;
     --serializing_;
   }
 }

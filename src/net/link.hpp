@@ -3,8 +3,9 @@
 //
 // One kernel event per packet: on a drop-tail FIFO a packet's departure,
 // max(now, previous departure) + serialization time, is known when it is
-// enqueued, so enqueue() draws its fate and schedules only its arrival
-// ("net.link.propagate"). Departures are settled lazily against the clock:
+// enqueued, so enqueue() draws its fate and reserves the kernel sequence
+// number its arrival event ("net.link.propagate") would take. Departures
+// are settled lazily against the clock:
 //
 // - Tie rule. A packet whose serialization ends exactly at now() still
 //   occupies the queue (and is still subject to set_rate / set_loss_rate);
@@ -18,6 +19,20 @@
 //   exactly the packets that complete transmission after it.
 // - set_rate() re-times every packet that has not started serializing; the
 //   one in service keeps its departure.
+//
+// Arrival lane: the link holds exactly one kernel heap entry, for the
+// earliest pending arrival by (arrival time, reserved seq), and its later
+// arrivals wait in flight_ itself. Each arrival enters the heap under the
+// seq it reserved at enqueue (sim::Simulator::schedule_reserved), so the
+// kernel dispatches every arrival in the same (when, seq) order, and counts
+// it the same, as if all of them were in the heap. When the head fires, the
+// link hands the kernel its next arrival; an arrival that undercuts the head
+// (jitter) displaces it. A re-timed or redrawn arrival withdraws its old
+// reservation (counted as a cancel) and reserves anew. The head is the
+// minimum over undelivered survivors, scanned in FIFO order up to the first
+// entry whose depart + propagation_delay exceeds the best arrival found;
+// departures only grow along the FIFO, so on a jitter-free link that is
+// about one entry.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +83,7 @@ struct LinkStats {
 
 class Link {
  public:
-  using DeliverFn = std::function<void(Packet)>;
+  using DeliverFn = std::function<void(Packet&&)>;
 
   Link(sim::Simulator& simulator, LinkConfig config, Rng rng);
 
@@ -83,7 +98,7 @@ class Link {
   [[nodiscard]] DeliverFn take_deliver() { return std::move(deliver_); }
 
   /// Offer a packet to the link; drops silently if the queue is full.
-  void enqueue(Packet packet);
+  void enqueue(Packet&& packet);
 
   [[nodiscard]] const LinkConfig& config() const { return config_; }
   /// Counts as of now(): a packet is sent (and lost) once its serialization
@@ -124,8 +139,11 @@ class Link {
     SimTime start;   ///< serialization start
     SimTime depart;  ///< serialization end
     Fate fate;
-    sim::EventId arrival;
+    /// Kernel seq reserved for the arrival; 0 once lost or delivered.
+    std::uint64_t arrival_seq = 0;
     bool delivered = false;
+
+    [[nodiscard]] SimTime arrival() const { return depart + fate.delay; }
   };
 
   /// Draw loss, then (for a survivor) jitter, from `rng`.
@@ -134,9 +152,14 @@ class Link {
   [[nodiscard]] bool departed(const InFlight& entry) const {
     return entry.depart < sim_.now() || entry.delivered;
   }
-  /// (Re)schedule flight_[index]'s arrival from its departure and fate.
-  void schedule_arrival(std::size_t index);
-  void arrive(std::uint64_t seq);
+  /// Reserve `entry`'s arrival seq from its fate, withdrawing the one it
+  /// held (re-timed or redrawn).
+  void reserve_arrival(InFlight& entry);
+  /// Make flight_[index] the lane's heap entry.
+  void schedule_head(std::size_t index);
+  /// Re-point the heap entry at the earliest pending arrival, if it moved.
+  void reschedule_head();
+  void arrive();
   /// Settle every departed entry: count it, replay its draws on the
   /// checkpoint RNG, and free entries that are finished.
   void retire();
@@ -151,7 +174,12 @@ class Link {
   /// Entries in enqueue order; [0, serializing_) have departed and are
   /// awaiting arrival, the rest are waiting or serializing.
   std::deque<InFlight> flight_;
-  std::uint64_t front_seq_ = 0;  ///< sequence number of flight_.front()
+  std::uint64_t front_index_ = 0;  ///< enqueue count at flight_.front()
+  /// The lane's one kernel entry: the arrival of flight_ entry
+  /// head_index_ - front_index_, reserved under head_seq_ (0: none).
+  sim::EventId head_;
+  std::uint64_t head_index_ = 0;
+  std::uint64_t head_seq_ = 0;
   std::size_t serializing_ = 0;
   std::uint64_t queued_bytes_ = 0;  ///< bytes of entries not yet departed
   LinkStats stats_;  ///< settled departures only (see stats())

@@ -17,7 +17,7 @@ Link* Node::route_for(NodeId dst) const {
   return it != routes_.end() ? it->second : nullptr;
 }
 
-void Node::handle_packet(Packet packet) {
+void Node::handle_packet(Packet&& packet) {
   if (packet.dst == id_) {
     ++packets_delivered_;
     LSL_ASSERT_MSG(static_cast<bool>(local_),

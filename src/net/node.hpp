@@ -17,7 +17,7 @@ namespace lsl::net {
 
 class Node {
  public:
-  using LocalDeliverFn = std::function<void(Packet)>;
+  using LocalDeliverFn = std::function<void(Packet&&)>;
 
   Node(NodeId id, std::string name, std::string site)
       : id_(id), name_(std::move(name)), site_(std::move(site)) {}
@@ -40,7 +40,7 @@ class Node {
   [[nodiscard]] Link* route_for(NodeId dst) const;
 
   /// Entry point for packets arriving at or originating from this node.
-  void handle_packet(Packet packet);
+  void handle_packet(Packet&& packet);
 
   [[nodiscard]] std::uint64_t packets_forwarded() const {
     return packets_forwarded_;

@@ -28,7 +28,8 @@ std::size_t Topology::add_link(NodeId a, NodeId b, const LinkConfig& config) {
       std::make_unique<Link>(sim_, config, link_rng_.fork(index + 1)));
   Link* link = links_.back().get();
   Node* receiver = nodes_[b].get();
-  link->set_deliver([receiver](Packet p) { receiver->handle_packet(std::move(p)); });
+  link->set_deliver(
+      [receiver](Packet&& p) { receiver->handle_packet(std::move(p)); });
   adjacency_[a].push_back(Edge{b, link});
   if (fluid_ != nullptr) {
     const auto fid =

@@ -73,19 +73,27 @@ std::string KernelProfile::str() const {
     out += buf;
   }
   if (!category_counts.empty()) {
-    std::snprintf(buf, sizeof buf, "  %-26s %10s %10s\n", "events by category",
-                  "scheduled", "executed");
+    std::snprintf(buf, sizeof buf, "  %-26s %10s %10s %10s\n",
+                  "events by category", "scheduled", "executed", "cancelled");
     out += buf;
-    for (const auto& [category, count] : category_counts) {
-      std::string executed = category_executed.empty() ? "-" : "0";
-      for (const auto& [name, n] : category_executed) {
+    // Executed and cancelled are recorded only while profiling ("-" if off).
+    const auto lookup = [profiled = !category_executed.empty() ||
+                                    !category_cancelled.empty()](
+                            const CategoryCounts& counts,
+                            const std::string& category) {
+      std::string n = profiled ? "0" : "-";
+      for (const auto& [name, count] : counts) {
         if (name == category) {
-          executed = std::to_string(n);
+          n = std::to_string(count);
         }
       }
-      std::snprintf(buf, sizeof buf, "    %-24s %10llu %10s\n",
+      return n;
+    };
+    for (const auto& [category, count] : category_counts) {
+      std::snprintf(buf, sizeof buf, "    %-24s %10llu %10s %10s\n",
                     category.c_str(), static_cast<unsigned long long>(count),
-                    executed.c_str());
+                    lookup(category_executed, category).c_str(),
+                    lookup(category_cancelled, category).c_str());
       out += buf;
     }
   }
@@ -120,6 +128,7 @@ void KernelProfile::merge_from(const KernelProfile& other) {
   };
   merge(category_counts, other.category_counts);
   merge(category_executed, other.category_executed);
+  merge(category_cancelled, other.category_cancelled);
 }
 
 // ---------------------------------------------------------------------------
@@ -139,7 +148,7 @@ Simulator::Simulator() {
 Simulator::~Simulator() { clear_log_clock(this); }
 
 // ---------------------------------------------------------------------------
-// 4-ary heap of 24-byte POD keys. Children of i are 4i+1 .. 4i+4. A wider
+// 4-ary heap of 16-byte POD keys. Children of i are 4i+1 .. 4i+4. A wider
 // node fans the tree out to ~half the depth of a binary heap: pops do more
 // comparisons per level but fewer key moves. Sifts use hole insertion (save
 // the key, shift, place) rather than pairwise swaps.
@@ -211,9 +220,15 @@ void Simulator::heap_pop_top() {
 }
 
 void Simulator::compact_heap() {
-  heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                             [this](const Entry& e) { return !entry_live(e); }),
-              heap_.end());
+  std::size_t kept = 0;
+  for (const Entry& e : heap_) {
+    if (entry_live(e)) {
+      heap_[kept++] = e;
+    } else {
+      free_slot_of(e);  // the dead entry is gone: its slot may be reused
+    }
+  }
+  heap_.resize(kept);
   // Floyd heap construction. Pop order is fully determined by the (when,
   // seq) total order, so the internal layout after a rebuild is
   // unobservable.
@@ -228,6 +243,23 @@ void Simulator::compact_heap() {
 
 EventId Simulator::schedule_at(SimTime when, Action action,
                                const char* category, std::uint32_t actor) {
+  return schedule_reserved(when, reserve_seq(category), std::move(action),
+                           category, actor);
+}
+
+std::uint64_t Simulator::reserve_seq(const char* category) {
+  LSL_ASSERT_MSG(next_seq_ < (1ULL << 40U), "event sequence overflow");
+  ++events_scheduled_;
+  if (category != nullptr) {
+    ++category_counts_[category];
+  }
+  return next_seq_++;
+}
+
+EventId Simulator::schedule_reserved(SimTime when, std::uint64_t seq,
+                                     Action action, const char* category,
+                                     std::uint32_t actor) {
+  LSL_ASSERT_MSG(seq != 0 && seq < next_seq_, "seq was never reserved");
   if (choice_hook_ != nullptr && when < now_) {
     // Slack dispatch may have advanced the clock past a time this caller
     // captured before yielding; the event is simply due immediately.
@@ -248,18 +280,13 @@ EventId Simulator::schedule_at(SimTime when, Action action,
   }
   const EventId id{(slot + 1) |
                    (static_cast<std::uint64_t>(slots_[slot].gen) << 32U)};
-  LSL_ASSERT_MSG(next_seq_ < (1ULL << 40U), "event sequence overflow");
-  const std::uint64_t key = (next_seq_++ << kSlotBits) | slot;
+  const std::uint64_t key = (seq << kSlotBits) | slot;
   slots_[slot].key = key;
   action_of(slot) = std::move(action);
   heap_push(Entry{when, key});
-  ++events_scheduled_;
   ++live_events_;
   if (live_events_ > queue_high_water_) {
     queue_high_water_ = live_events_;
-  }
-  if (category != nullptr) {
-    ++category_counts_[category];
   }
   if (profiling_) {
     if (slot_category_.size() < slots_.size()) {
@@ -283,25 +310,47 @@ EventId Simulator::schedule_after(SimTime delay, Action action,
 }
 
 bool Simulator::cancel(EventId id) {
-  if (!id.valid()) {
+  const std::uint64_t slot = drop_pending(id);
+  if (slot == kNoSlot) {
     return false;
+  }
+  ++events_cancelled_;
+  if (profiling_) {
+    count_category(cancelled_counts_, slot);
+  }
+  return true;
+}
+
+bool Simulator::unschedule(EventId id) { return drop_pending(id) != kNoSlot; }
+
+void Simulator::withdraw_reserved(const char* category) {
+  ++events_cancelled_;
+  if (profiling_ && category != nullptr) {
+    ++cancelled_counts_[category];
+  }
+}
+
+std::uint64_t Simulator::drop_pending(EventId id) {
+  if (!id.valid()) {
+    return kNoSlot;
   }
   const std::uint64_t slot = slot_of(id.raw);
   // A slot index never issued, or a generation that has since advanced
   // (the event fired, was cancelled, or the slot was reused), is stale.
   if (slot >= slots_.size() || slots_[slot].gen != gen_of(id.raw)) {
-    return false;
+    return kNoSlot;
   }
   if (slots_[slot].key == dispatching_key_) {
     // The event is firing right now (an action cancelling itself). It has
     // already left the heap and its closure must keep executing; report it
     // as already-run.
-    return false;
+    return kNoSlot;
   }
-  retire_slot(slot);
-  slots_[slot].key = 0;  // the heap corpse must stop matching
+  // Invalidate the id and stop the heap corpse matching. The slot itself
+  // is recycled only when the corpse leaves the heap (see the header).
+  ++slots_[slot].gen;
+  slots_[slot].key = 0;
   --live_events_;
-  ++events_cancelled_;
   // Move the closure out before destroying it: its destructor may re-enter
   // the kernel (schedule, cancel), and by now the slot is fully retired.
   const Action dead = std::move(action_of(slot));
@@ -311,7 +360,7 @@ bool Simulator::cancel(EventId id) {
   if (heap_.size() > 64 && heap_.size() > 2 * live_events_) {
     compact_heap();
   }
-  return true;
+  return slot;
 }
 
 bool Simulator::settle_top() {
@@ -319,7 +368,8 @@ bool Simulator::settle_top() {
     if (entry_live(heap_.front())) {
       return true;
     }
-    heap_pop_top();  // cancelled: generation moved on, drop the corpse
+    free_slot_of(heap_.front());  // cancelled: drop the corpse
+    heap_pop_top();
   }
   return false;
 }
@@ -350,15 +400,29 @@ void Simulator::set_profiling(bool enabled) {
   profiling_ = enabled;
 }
 
-void Simulator::count_execution(std::uint64_t slot) {
+void Simulator::count_category(
+    std::unordered_map<const char*, std::uint64_t>& counts,
+    std::uint64_t slot) const {
   if (slot < slot_category_.size() && slot_category_[slot] != nullptr) {
-    ++executed_counts_[slot_category_[slot]];
+    ++counts[slot_category_[slot]];
   }
 }
 
 void Simulator::dispatch_top_profiled() {
-  count_execution(heap_.front().key & kSlotMask);
+  count_category(executed_counts_, heap_.front().key & kSlotMask);
   dispatch_top();
+}
+
+void Simulator::release_dispatched(std::uint64_t slot, std::uint64_t key) {
+  if (slots_[slot].key == key) {
+    retire_slot(slot);
+    --live_events_;
+    action_of(slot).reset();
+  } else {
+    // A nested run() cancelled the event while it ran; that cancel left the
+    // slot for whoever removed its heap entry, which was this dispatch.
+    free_slots_.push_back(static_cast<std::uint32_t>(slot));
+  }
 }
 
 void Simulator::dispatch_top() {
@@ -377,14 +441,9 @@ void Simulator::dispatch_top() {
   dispatching_key_ = top.key;
   action();
   dispatching_key_ = enclosing;
-  // Retire after the call so the action's own slot is not recycled under
-  // it. The key can only have stopped matching via a nested run() whose
-  // events cancelled this one -- then the cancel already retired the slot.
-  if (slots_[slot].key == top.key) {
-    retire_slot(slot);
-    --live_events_;
-    action.reset();
-  }
+  // Release after the call so the action's own slot is not recycled under
+  // it.
+  release_dispatched(slot, top.key);
 }
 
 // ---------------------------------------------------------------------------
@@ -491,18 +550,14 @@ void Simulator::dispatch_entry(const Entry& e) {
   }
   ++events_executed_;
   if (profiling_) {
-    count_execution(slot);
+    count_category(executed_counts_, slot);
   }
   Action& action = action_of(slot);
   const std::uint64_t enclosing = dispatching_key_;
   dispatching_key_ = e.key;
   action();
   dispatching_key_ = enclosing;
-  if (slots_[slot].key == e.key) {
-    retire_slot(slot);
-    --live_events_;
-    action.reset();
-  }
+  release_dispatched(slot, e.key);
 }
 
 std::uint64_t Simulator::run(SimTime limit) {
@@ -540,6 +595,7 @@ KernelProfile Simulator::profile() const {
   p.wall_seconds = wall_seconds_;
   p.category_counts = merge_by_content(category_counts_);
   p.category_executed = merge_by_content(executed_counts_);
+  p.category_cancelled = merge_by_content(cancelled_counts_);
   return p;
 }
 

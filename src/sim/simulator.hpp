@@ -1,25 +1,40 @@
 // Discrete-event simulation kernel.
 //
 // A Simulator owns an indexed 4-ary min-heap laid out in a flat vector: the
-// heap holds 24-byte (time, sequence, id) keys, and the event closures
+// heap holds 16-byte (time, sequence | slot) keys, and the event closures
 // (sim::Action, small-buffer-optimized) live in a side slot table, so heap
 // sifts never relocate a closure. Sequence numbers break ties so that
 // same-timestamp events fire in schedule order, which makes every run fully
 // deterministic. Cancellable timers are layered on top (timer.hpp).
+//
+// Reserved sequence numbers: reserve_seq() hands out the number the next
+// schedule_at would take, and schedule_reserved() later enters the event
+// under it, so it fires exactly where it would have fired had it been
+// scheduled at reservation time. A producer whose events are known long
+// before they are due (a link's in-flight packets, net/link.hpp) keeps them
+// in its own FIFO and holds only its earliest one in the heap. The
+// reservation counts as the schedule; unschedule() takes an entry back out
+// without counting a cancel (the reservation stands and the same seq may
+// enter again), and withdraw_reserved() counts a reservation that never
+// will as cancelled.
 //
 // Cancellation is generation-counted: every EventId names a slot in a side
 // table plus the generation the slot had when the event was scheduled. The
 // generation bumps whenever the event fires or is cancelled, so cancel() is
 // an O(1) array probe (no hashing, no tombstone set) and a stale id can
 // never affect a newer event that reuses the slot. Cancelled entries stay in
-// the heap until they surface at the top, where a generation mismatch drops
-// them for free.
+// the heap until they surface at the top, where a key mismatch drops them
+// for free. Slot-recycling invariant: a cancelled slot returns to the free
+// list only when its dead entry leaves the heap (settle_top, compact_heap,
+// or the dispatch of an event cancelled while it ran), so a slot has at
+// most one heap entry at any time. That keeps the one-compare liveness test
+// exact even when a reserved seq re-enters the heap after unschedule().
 //
 // Observability: the kernel always keeps cheap counters (events scheduled /
 // executed / cancelled, live-queue-depth high water, per-category schedule
 // counts); set_profiling(true) additionally samples wall-clock time around
 // event dispatch so profile() can report the simulated-vs-wall ratio, and
-// counts dispatches per category.
+// counts dispatches and cancels per category.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +68,9 @@ struct KernelProfile {
   std::uint64_t events_scheduled = 0;
   std::uint64_t events_executed = 0;
   std::uint64_t events_cancelled = 0;
-  std::uint64_t queue_high_water = 0;  ///< max live pending entries ever
+  /// Max live heap entries ever. A link lane holds one entry however many
+  /// of its packets are in flight (see Simulator::reserve_seq).
+  std::uint64_t queue_high_water = 0;
   SimTime sim_time = SimTime::zero();  ///< clock at snapshot
   double wall_seconds = 0.0;           ///< dispatch wall time (profiling on)
   /// Events scheduled per category tag, descending by count. Untagged
@@ -62,6 +79,9 @@ struct KernelProfile {
   /// Events executed per category tag, descending by count; recorded only
   /// for events scheduled while profiling was on (empty otherwise).
   std::vector<std::pair<std::string, std::uint64_t>> category_executed;
+  /// Events cancelled per category tag (reservations withdrawn included),
+  /// descending by count; recorded only while profiling (empty otherwise).
+  std::vector<std::pair<std::string, std::uint64_t>> category_cancelled;
 
   /// Simulated seconds advanced per wall second (0 when not profiled).
   [[nodiscard]] double time_ratio() const {
@@ -140,6 +160,28 @@ class Simulator {
   /// recognized as dead when it reaches the top.
   bool cancel(EventId id);
 
+  /// Take the sequence number the next schedule would get, for an event
+  /// that enters the heap later through schedule_reserved(). Counts as the
+  /// schedule (events scheduled and `category`'s count).
+  std::uint64_t reserve_seq(const char* category = nullptr);
+
+  /// Enter an event under a seq from reserve_seq(): it fires in the same
+  /// (when, seq) order as if it had been scheduled at reservation time. Adds
+  /// a live entry without counting a schedule; `category` and `actor` feed
+  /// profiling and the choice hook as in schedule_at.
+  EventId schedule_reserved(SimTime when, std::uint64_t seq, Action action,
+                            const char* category = nullptr,
+                            std::uint32_t actor = 0);
+
+  /// Take a pending event back out of the heap without counting a cancel:
+  /// its reservation stands, and its seq may enter again. Returns false
+  /// where cancel() would.
+  bool unschedule(EventId id);
+
+  /// Count a reservation that will never (again) enter the heap as a
+  /// cancelled event, under `category` while profiling.
+  void withdraw_reserved(const char* category = nullptr);
+
   /// Run until the event queue is empty or `limit` is reached, whichever is
   /// first. Returns the number of events executed.
   std::uint64_t run(SimTime limit = SimTime::max());
@@ -150,14 +192,15 @@ class Simulator {
   /// Stop at the end of the current event (run() returns afterwards).
   void request_stop() { stop_requested_ = true; }
 
-  /// Live (scheduled, not yet fired or cancelled) events.
+  /// Live heap entries (scheduled, not yet fired or cancelled). A reserved
+  /// seq that has not entered the heap is not counted.
   [[nodiscard]] std::size_t pending_events() const { return live_events_; }
   [[nodiscard]] std::uint64_t events_executed() const {
     return events_executed_;
   }
 
   /// Enable wall-clock sampling around dispatch and per-category execution
-  /// counts (off by default: two clock reads per event are measurable on
+  /// and cancel counts (off by default: two clock reads per event are measurable on
   /// micro-benchmarks).
   void set_profiling(bool enabled);
   [[nodiscard]] bool profiling() const { return profiling_; }
@@ -209,22 +252,33 @@ class Simulator {
     std::uint32_t gen = 0;  ///< validates public EventIds
   };
 
-  /// A heap key is live iff its slot still holds the same packed key: seq
-  /// is globally unique, so one compare is exact (no generations needed on
-  /// this path -- those only validate public EventIds). A dispatched key is
-  /// popped and never probed again, so the dispatch path skips the key
-  /// clear; a reused slot gets a fresh seq, which can never collide.
+  /// A heap key is live iff its slot still holds the same packed key. A
+  /// seq has at most one live entry, and a slot at most one heap entry (a
+  /// cancelled slot is recycled only once its dead entry has left the
+  /// heap), so one compare is exact even when an unscheduled reserved seq
+  /// re-enters; generations only validate public EventIds. A dispatched
+  /// key is popped and never probed again, so the dispatch path skips the
+  /// key clear.
   [[nodiscard]] bool entry_live(const Entry& e) const {
     return slots_[e.key & kSlotMask].key == e.key;
   }
 
-  /// Retire the slot behind a live entry that is about to fire or was
-  /// cancelled: bump the generation (invalidates outstanding EventIds) and
-  /// recycle the index.
+  /// Retire the slot behind a live entry that has left the heap to fire:
+  /// bump the generation (invalidates outstanding EventIds) and recycle it.
   void retire_slot(std::uint64_t slot) {
     ++slots_[slot].gen;
     free_slots_.push_back(static_cast<std::uint32_t>(slot));
   }
+
+  /// Recycle the slot of a dead entry that has just left the heap.
+  void free_slot_of(const Entry& e) {
+    free_slots_.push_back(static_cast<std::uint32_t>(e.key & kSlotMask));
+  }
+
+  /// Shared body of cancel() and unschedule(): kill the pending event
+  /// behind `id` and return its slot, or kNoSlot if it is not pending.
+  std::uint64_t drop_pending(EventId id);
+  static constexpr std::uint64_t kNoSlot = ~0ULL;
 
   /// Closure storage for `slot`. Chunked so growth never moves an Action.
   [[nodiscard]] Action& action_of(std::uint64_t slot) {
@@ -249,7 +303,11 @@ class Simulator {
   void dispatch_top();
   /// dispatch_top() plus the per-category execution count.
   void dispatch_top_profiled();
-  void count_execution(std::uint64_t slot);
+  /// Finish a dispatched event's slot once its action has returned.
+  void release_dispatched(std::uint64_t slot, std::uint64_t key);
+  /// ++counts[category of `slot`] if it was recorded while profiling.
+  void count_category(std::unordered_map<const char*, std::uint64_t>& counts,
+                      std::uint64_t slot) const;
 
   // ---- choice-hook (model checking) slow path ----------------------------
   /// Collect every live entry in heap_[i]'s subtree with when <= window_end
@@ -310,6 +368,7 @@ class Simulator {
   /// plain schedule and dispatch paths never touch it.
   std::vector<const char*> slot_category_;
   std::unordered_map<const char*, std::uint64_t> executed_counts_;
+  std::unordered_map<const char*, std::uint64_t> cancelled_counts_;
 };
 
 }  // namespace lsl::sim

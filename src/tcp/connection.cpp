@@ -114,6 +114,18 @@ Connection::Connection(TcpStack& stack, net::NodeId local, net::NodeId remote,
 
 Connection::~Connection() = default;
 
+void Connection::release_callbacks() {
+  on_connected = nullptr;
+  on_readable = nullptr;
+  on_writable = nullptr;
+  on_closed = nullptr;
+  on_error = nullptr;
+  on_ack_advance = nullptr;
+  if (!fin_rcvd_ || eof_delivered_) {
+    on_eof = nullptr;
+  }
+}
+
 std::uint64_t Connection::acked_payload() const { return send_buf_.head(); }
 
 std::string Connection::debug_string() const {

@@ -120,6 +120,14 @@ class Connection : public std::enable_shared_from_this<Connection> {
 
   ~Connection();
 
+  /// Drop the application callbacks, keeping on_eof only while a later
+  /// read() may still deliver EOF. The stack calls this when a dead
+  /// connection leaves its table, after which no packet or timer reaches
+  /// it, and for every connection it still holds when it is destroyed. An
+  /// application object that owns the connection and is owned by its
+  /// callbacks (lsl::LslSource, lsl::AsyncFetcher) is freed here.
+  void release_callbacks();
+
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 

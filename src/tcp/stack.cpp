@@ -10,8 +10,14 @@ namespace lsl::tcp {
 TcpStack::TcpStack(net::Topology& topology, net::NodeId node)
     : topology_(topology), node_(node) {
   topology_.node(node).set_local_deliver(
-      [this](net::Packet p) { on_packet(std::move(p)); });
+      [this](net::Packet&& p) { on_packet(p); });
   topology_.set_protocol_handle(node, this);
+}
+
+TcpStack::~TcpStack() {
+  for (const auto& [key, conn] : conns_) {
+    conn->release_callbacks();
+  }
 }
 
 void TcpStack::listen(net::Port port, AcceptFn on_accept, TcpOptions options) {
@@ -41,7 +47,7 @@ Connection::Ptr TcpStack::connect(net::NodeId dst, net::Port dst_port,
   return conn;
 }
 
-void TcpStack::on_packet(net::Packet packet) {
+void TcpStack::on_packet(const net::Packet& packet) {
   const ConnKey key{packet.src, packet.tcp.dst_port, packet.tcp.src_port};
   if (const auto it = conns_.find(key); it != conns_.end()) {
     // Hold a local ref: handle_packet may trigger reap of this connection.
@@ -98,7 +104,13 @@ void TcpStack::reap(const ConnKey& key) {
   // Defer the erase: reap is called from inside the connection's own
   // processing, and erasing could destroy it mid-method.
   simulator().schedule_after(SimTime::zero(), [this, key] {
-    conns_.erase(key);
+    const auto it = conns_.find(key);
+    if (it == conns_.end()) {
+      return;
+    }
+    const Connection::Ptr conn = std::move(it->second);
+    conns_.erase(it);
+    conn->release_callbacks();
   });
 }
 

@@ -28,6 +28,9 @@ class TcpStack : public net::ProtocolStack {
 
   /// Attaches to `node` in `topology` as its protocol stack.
   TcpStack(net::Topology& topology, net::NodeId node);
+  /// Releases the callbacks of the connections it still holds (see
+  /// Connection::release_callbacks).
+  ~TcpStack() override;
 
   TcpStack(const TcpStack&) = delete;
   TcpStack& operator=(const TcpStack&) = delete;
@@ -70,7 +73,7 @@ class TcpStack : public net::ProtocolStack {
  private:
   friend class Connection;
 
-  void on_packet(net::Packet packet);
+  void on_packet(const net::Packet& packet);
   /// Deferred erase; safe to call from within the connection's own
   /// packet/timer processing.
   void reap(const ConnKey& key);

@@ -436,23 +436,44 @@ TEST(ObsKernelTest, ProfileCountsExecutionsPerCategory) {
   }
   ASSERT_TRUE(simulator.cancel(
       simulator.schedule_after(SimTime::seconds(1), [] {}, "test.tick")));
+  // A withdrawn reservation counts as a cancel under its category.
+  simulator.reserve_seq("test.lane");
+  simulator.withdraw_reserved("test.lane");
   simulator.run();
 
   const auto profile = simulator.profile();
-  ASSERT_EQ(profile.category_counts.size(), 2u);
+  ASSERT_EQ(profile.category_counts.size(), 3u);
   EXPECT_EQ(profile.category_counts[0],
             (std::pair<std::string, std::uint64_t>{"test.tick", 4}));
   ASSERT_EQ(profile.category_executed.size(), 1u);
   EXPECT_EQ(profile.category_executed[0],
             (std::pair<std::string, std::uint64_t>{"test.tick", 3}));
+  ASSERT_EQ(profile.category_cancelled.size(), 2u);
+  EXPECT_EQ(profile.category_cancelled[0].second, 1u);
+  EXPECT_EQ(profile.category_cancelled[1].second, 1u);
+  EXPECT_EQ(profile.events_cancelled, 2u);
   const std::string report = profile.str();
   EXPECT_NE(report.find("scheduled"), std::string::npos);
   EXPECT_NE(report.find("executed"), std::string::npos);
+  EXPECT_NE(report.find("cancelled"), std::string::npos);
+  // Scheduled, executed and cancelled side by side; "test.early" ran
+  // before profiling, so it reads 0 executed.
+  EXPECT_NE(report.find("test.tick                         4          3"
+                        "          1"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("test.early                        1          0"
+                        "          0"),
+            std::string::npos)
+      << report;
 
   sim::KernelProfile merged = profile;
   merged.merge_from(profile);
   ASSERT_EQ(merged.category_executed.size(), 1u);
   EXPECT_EQ(merged.category_executed[0].second, 6u);
+  ASSERT_EQ(merged.category_cancelled.size(), 2u);
+  EXPECT_EQ(merged.category_cancelled[0].second, 2u);
+  EXPECT_EQ(merged.category_cancelled[1].second, 2u);
 }
 
 TEST(ObsKernelTest, ProfileMergeAccumulates) {

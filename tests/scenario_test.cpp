@@ -304,6 +304,26 @@ std::uint64_t schedules_of(const sim::KernelProfile& profile,
   return 0;
 }
 
+/// Run the committed scenario `name` at seed 7 and return its kernel profile.
+sim::KernelProfile profile_committed(const std::string& name) {
+  sim::KernelProfile profile;
+  std::ifstream file(std::string(LSL_SCENARIO_DIR) + "/" + name + ".lsl");
+  EXPECT_TRUE(file) << name;
+  std::ostringstream text;
+  text << file.rdbuf();
+  const ParseResult parsed = parse_scenario(text.str());
+  EXPECT_TRUE(parsed.ok()) << name << ": " << parsed.error;
+  if (!parsed.ok()) {
+    return profile;
+  }
+  const auto outcomes = run_scenario(*parsed.scenario, /*seed=*/7,
+                                     SimTime::seconds(3600), &profile);
+  for (const auto& row : outcomes) {
+    EXPECT_TRUE(row.outcome.completed) << name;
+  }
+  return profile;
+}
+
 TEST(EventBudgetTest, PacketScenariosScheduleOneEventPerHop) {
   // Seed-7 events_scheduled of the two-event link with eager timers, which
   // scheduled a net.link.tx beside every net.link.propagate and an RTO
@@ -311,18 +331,7 @@ TEST(EventBudgetTest, PacketScenariosScheduleOneEventPerHop) {
   const std::pair<const char*, std::uint64_t> kTwoEventCounts[] = {
       {"two_depot_chain", 223'410}, {"abilene_uiuc", 853'471}};
   for (const auto& [name, two_event_count] : kTwoEventCounts) {
-    std::ifstream file(std::string(LSL_SCENARIO_DIR) + "/" + name + ".lsl");
-    ASSERT_TRUE(file) << name;
-    std::ostringstream text;
-    text << file.rdbuf();
-    const ParseResult parsed = parse_scenario(text.str());
-    ASSERT_TRUE(parsed.ok()) << name << ": " << parsed.error;
-    sim::KernelProfile profile;
-    const auto outcomes = run_scenario(*parsed.scenario, /*seed=*/7,
-                                       SimTime::seconds(3600), &profile);
-    for (const auto& row : outcomes) {
-      EXPECT_TRUE(row.outcome.completed) << name;
-    }
+    const sim::KernelProfile profile = profile_committed(name);
     for (const auto& [category, count] : profile.category_counts) {
       EXPECT_NE(category, "net.link.tx") << name;
     }
@@ -334,6 +343,18 @@ TEST(EventBudgetTest, PacketScenariosScheduleOneEventPerHop) {
     EXPECT_LE(static_cast<double>(schedules_of(profile, "tcp.rto")),
               0.01 * static_cast<double>(propagate))
         << name;
+  }
+}
+
+TEST(EventBudgetTest, LinkLanesKeepTheKernelHeapSmall) {
+  // Each link holds one heap entry however many of its packets are in
+  // flight, so the heap stays at links + timers, not the bandwidth-delay
+  // product. Seed-7 high water with one entry per in-flight packet was
+  // 3,147 (two_depot_chain), 5,998 (abilene_uiuc) and 6,287 (high_bdp).
+  for (const char* name : {"two_depot_chain", "abilene_uiuc", "high_bdp"}) {
+    const sim::KernelProfile profile = profile_committed(name);
+    EXPECT_GT(profile.events_executed, 0u) << name;
+    EXPECT_LE(profile.queue_high_water, 64u) << name;
   }
 }
 

@@ -155,7 +155,13 @@ TEST(SimulatorTest, StaleIdCannotCancelEventOnRecycledSlot) {
   Simulator sim;
   const EventId stale = sim.schedule_at(10_ms, [] {});
   EXPECT_TRUE(sim.cancel(stale));
-  // The next schedule reuses the freed slot under a new generation.
+  // While the dead entry is still in the heap its slot stays out of use.
+  const EventId other = sim.schedule_at(30_ms, [] {});
+  EXPECT_NE(slot_part(stale), slot_part(other));
+  EXPECT_FALSE(sim.cancel(stale));
+  // Running past the dead entry drops it and frees the slot, which the next
+  // schedule reuses under a new generation.
+  sim.run(15_ms);
   bool ran = false;
   const EventId fresh = sim.schedule_at(20_ms, [&] { ran = true; });
   EXPECT_EQ(slot_part(stale), slot_part(fresh));
@@ -187,6 +193,69 @@ TEST(SimulatorTest, EventCanCancelAnotherDuringDispatch) {
   EXPECT_FALSE(victim_ran);
   EXPECT_EQ(sim.pending_events(), 0u);
   EXPECT_EQ(sim.events_executed(), 1u);
+}
+
+TEST(SimulatorTest, ReservedSeqFiresWhereItWasReserved) {
+  Simulator sim;
+  std::vector<char> order;
+  const auto push = [&](char c) { return [&order, c] { order.push_back(c); }; };
+  // Reservations interleaved with same-timestamp schedules; the reserved
+  // events enter the heap last, one of them from inside another event.
+  const std::uint64_t first = sim.reserve_seq();
+  sim.schedule_at(5_ms, push('a'));
+  const std::uint64_t second = sim.reserve_seq();
+  sim.schedule_at(5_ms, push('b'));
+  const std::uint64_t third = sim.reserve_seq();
+  sim.schedule_at(2_ms, [&] { sim.schedule_reserved(5_ms, third, push('T')); });
+  sim.schedule_at(1_ms, push('e'));
+  sim.schedule_reserved(5_ms, second, push('S'));
+  sim.schedule_reserved(5_ms, first, push('F'));
+  EXPECT_EQ(sim.pending_events(), 6u);  // reservations are not entries
+  sim.run();
+  // Exactly the order with every event scheduled at its reservation.
+  EXPECT_EQ(order, (std::vector<char>{'e', 'F', 'a', 'S', 'b', 'T'}));
+  const KernelProfile profile = sim.profile();
+  EXPECT_EQ(profile.events_scheduled, 7u);  // 4 schedules + 3 reservations
+  EXPECT_EQ(profile.events_executed, 7u);
+  EXPECT_EQ(profile.events_cancelled, 0u);
+}
+
+TEST(SimulatorTest, UnscheduledReservedEventReenteredFiresOnce) {
+  // The re-entered event reuses the seq of its own dead heap entry; were
+  // the cancelled slot recycled at once, the new key would equal the dead
+  // one and the entry would be dispatched twice.
+  Simulator sim;
+  int fired = 0;
+  const std::uint64_t seq = sim.reserve_seq();
+  const EventId first = sim.schedule_reserved(10_ms, seq, [&] { fired += 100; });
+  EXPECT_TRUE(sim.unschedule(first));
+  EXPECT_FALSE(sim.unschedule(first));
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.schedule_reserved(10_ms, seq, [&] { ++fired; });
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  const KernelProfile profile = sim.profile();
+  EXPECT_EQ(profile.events_scheduled, 1u);
+  EXPECT_EQ(profile.events_executed, 1u);
+  EXPECT_EQ(profile.events_cancelled, 0u);  // unschedule is not a cancel
+}
+
+TEST(SimulatorTest, WithdrawnReservationCountsAsCancelled) {
+  Simulator sim;
+  sim.set_profiling(true);
+  const std::uint64_t seq = sim.reserve_seq("test.lane");
+  const EventId id =
+      sim.schedule_reserved(10_ms, seq, [] { FAIL(); }, "test.lane");
+  EXPECT_TRUE(sim.unschedule(id));
+  sim.withdraw_reserved("test.lane");
+  EXPECT_EQ(sim.run(), 0u);
+  const KernelProfile profile = sim.profile();
+  EXPECT_EQ(profile.events_scheduled, 1u);
+  EXPECT_EQ(profile.events_cancelled, 1u);
+  ASSERT_EQ(profile.category_cancelled.size(), 1u);
+  EXPECT_EQ(profile.category_cancelled[0],
+            (std::pair<std::string, std::uint64_t>{"test.lane", 1}));
 }
 
 TEST(SimulatorTest, HighWaterTracksLiveEventsNotTombstones) {
