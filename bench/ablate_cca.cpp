@@ -166,10 +166,9 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const exp::Fidelity fidelity = opts.fidelity == "flow"
-                                     ? exp::Fidelity::kFlow
-                                     : exp::Fidelity::kPacket;
-  if (opts.fidelity == "analytic") {
+  const exp::Fidelity fidelity =
+      opts.fidelity.value_or(exp::Fidelity::kPacket);
+  if (!opts.fidelity.has_value()) {
     std::printf("(analytic fidelity not meaningful here; using packet)\n");
   }
 

@@ -21,9 +21,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "exp/harness.hpp"
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
 
@@ -55,10 +57,10 @@ struct BenchOptions {
   /// bench's discretion (--json <file> / LSL_BENCH_JSON).
   std::string json_path;
   /// Measurement fidelity for benches that sweep (--fidelity=... /
-  /// LSL_BENCH_FIDELITY): "analytic" (default), "flow", or "packet". The
-  /// sweep benches map this onto testbed::SweepFidelity; other benches
-  /// ignore it. See docs/flow_fidelity.md.
-  std::string fidelity = "analytic";
+  /// LSL_BENCH_FIDELITY): "analytic" (default, unset), "flow", or
+  /// "packet". The sweep benches pass it to testbed::SweepConfig; other
+  /// benches ignore it. See docs/flow_fidelity.md.
+  std::optional<exp::Fidelity> fidelity;
 };
 
 /// Parses the shared options. --help / -h prints them and exits 0, before
@@ -90,8 +92,9 @@ inline BenchOptions parse_options(int argc, char** argv) {
   if (const char* v = std::getenv("LSL_BENCH_JSON")) {
     opts.json_path = v;
   }
+  std::string fidelity = "analytic";
   if (const char* v = std::getenv("LSL_BENCH_FIDELITY")) {
-    opts.fidelity = v;
+    fidelity = v;
   }
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
@@ -105,18 +108,19 @@ inline BenchOptions parse_options(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       opts.json_path = argv[i] + 7;
     } else if (std::strcmp(argv[i], "--fidelity") == 0 && i + 1 < argc) {
-      opts.fidelity = argv[++i];
+      fidelity = argv[++i];
     } else if (std::strncmp(argv[i], "--fidelity=", 11) == 0) {
-      opts.fidelity = argv[i] + 11;
+      fidelity = argv[i] + 11;
     }
   }
-  if (opts.fidelity != "analytic" && opts.fidelity != "flow" &&
-      opts.fidelity != "packet") {
+  exp::Fidelity parsed = exp::Fidelity::kPacket;
+  if (exp::parse_fidelity(fidelity, parsed)) {
+    opts.fidelity = parsed;
+  } else if (fidelity != "analytic") {
     std::fprintf(stderr,
                  "bench: unknown fidelity '%s' (analytic|flow|packet), "
                  "using analytic\n",
-                 opts.fidelity.c_str());
-    opts.fidelity = "analytic";
+                 fidelity.c_str());
   }
   return opts;
 }

@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
       "Paper claim: 5.75%-9% average speedup for 1-64 MB transfers; the "
       "scheduler identified depot routes for 26% of paths.");
 
-  const bool simulated = opts.fidelity != "analytic";
+  const bool simulated = opts.fidelity.has_value();
+  const std::string measurement = testbed::measurement_name(opts.fidelity);
   const auto grid =
       testbed::SyntheticGrid::planetlab(testbed::PlanetLabConfig{}, 2004);
   testbed::SweepConfig config;
@@ -51,9 +52,7 @@ int main(int argc, char** argv) {
     config.max_size_exp = 4;  // 1, 2, 4, 8 MB
     config.max_cases = bench::scaled(12, 4);
     config.iterations = bench::scaled(2, 1);
-    config.fidelity = opts.fidelity == "flow"
-                          ? testbed::SweepFidelity::kFlow
-                          : testbed::SweepFidelity::kPacket;
+    config.fidelity = opts.fidelity;
   }
   const auto t0 = std::chrono::steady_clock::now();
   const auto result = testbed::run_speedup_sweep(grid, config, 42);
@@ -63,7 +62,7 @@ int main(int argc, char** argv) {
 
   std::printf("Pool: %zu hosts, %s measurement. Scheduler chose depot routes "
               "for %.1f%% of pairs (paper: 26%%).\n",
-              grid.size(), opts.fidelity.c_str(),
+              grid.size(), measurement.c_str(),
               100.0 * result.fraction_scheduled);
   std::printf("Total measurements: %zu (paper: 362,895). Mean depot hops: "
               "%.2f.\n\n",
@@ -98,9 +97,9 @@ int main(int argc, char** argv) {
     // computed from the very same realized networks. Agreement = simulated
     // mean / analytic mean per size (1.0 = perfect).
     testbed::SweepConfig reference = config;
-    reference.fidelity = testbed::SweepFidelity::kAnalytic;
+    reference.fidelity.reset();
     const auto analytic = testbed::run_speedup_sweep(grid, reference, 42);
-    Table agree({"size", opts.fidelity + " mean", "analytic mean",
+    Table agree({"size", measurement + " mean", "analytic mean",
                  "agreement"});
     for (const auto& [size, xs] : result.speedups_by_size) {
       const double sim_mean = mean_of(xs);

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
       "Paper claim: acceptable speedup in many cases but quite a few where "
       "LSL made performance worse; improvements up to 4x exist.");
 
-  const bool simulated = opts.fidelity != "analytic";
+  const bool simulated = opts.fidelity.has_value();
   const auto grid =
       testbed::SyntheticGrid::planetlab(testbed::PlanetLabConfig{}, 2004);
   testbed::SweepConfig config;
@@ -36,9 +36,7 @@ int main(int argc, char** argv) {
     config.max_size_exp = 4;
     config.max_cases = bench::scaled(12, 4);
     config.iterations = bench::scaled(2, 1);
-    config.fidelity = opts.fidelity == "flow"
-                          ? testbed::SweepFidelity::kFlow
-                          : testbed::SweepFidelity::kPacket;
+    config.fidelity = opts.fidelity;
   }
   const auto result = testbed::run_speedup_sweep(grid, config, 42);
 
@@ -65,9 +63,10 @@ int main(int argc, char** argv) {
     // Analytic twin of the same sweep (identical cases and realizations;
     // see fig09). Gate metric: simulated median / analytic median per size.
     testbed::SweepConfig reference = config;
-    reference.fidelity = testbed::SweepFidelity::kAnalytic;
+    reference.fidelity.reset();
     const auto analytic = testbed::run_speedup_sweep(grid, reference, 42);
-    Table agree({"size", opts.fidelity + " median", "analytic median",
+    const std::string measurement = testbed::measurement_name(opts.fidelity);
+    Table agree({"size", measurement + " median", "analytic median",
                  "agreement"});
     for (const auto& [size, xs] : result.speedups_by_size) {
       const double sim_median = BoxStats::of(xs).median;

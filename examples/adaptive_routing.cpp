@@ -54,7 +54,7 @@ int main() {
       nws::PerformanceMonitor({"a.edu", "d1.net", "d2.net", "b.edu"},
                               nws::NoiseModel{.lognormal_sigma = 0.05}, 3),
       truth, SimTime::seconds(300), {.epsilon = 0.15},
-      [&](const sched::Scheduler& scheduler) {
+      [&](const sched::Scheduler& scheduler, std::size_t /*changed_edges*/) {
         for (std::size_t node = 0; node < net.host_count(); ++node) {
           net.depot(node).set_route_table(scheduler.route_table_for(node));
         }

@@ -7,6 +7,27 @@
 
 namespace lsl::exp {
 
+const char* to_string(Fidelity fidelity) {
+  switch (fidelity) {
+    case Fidelity::kPacket:
+      return "packet";
+    case Fidelity::kFlow:
+      return "flow";
+  }
+  return "?";
+}
+
+bool parse_fidelity(std::string_view name, Fidelity& out) {
+  if (name == "packet") {
+    out = Fidelity::kPacket;
+  } else if (name == "flow") {
+    out = Fidelity::kFlow;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 SimHarness::SimHarness(std::uint64_t seed, Fidelity fidelity)
     : rng_(seed),
       fidelity_(fidelity),

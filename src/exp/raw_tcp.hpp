@@ -20,19 +20,16 @@ struct RawTransferResult {
 };
 
 /// Drives one bulk transfer of `bytes` from `src` to a sink listening on
-/// `dst` (port chosen internally), running the simulation until the
-/// receiver sees EOF or `deadline` passes.
+/// `dst`, running the simulation until the receiver sees EOF or `deadline`
+/// passes. With `streams` > 1 it stripes PSockets-style: that many parallel
+/// connections (ports port, port + 1, ...) each carry bytes/streams, and
+/// the transfer completes when every stripe has fully arrived.
+/// `sender_stats` are the first connection's.
 RawTransferResult run_raw_transfer(sim::Simulator& sim, tcp::TcpStack& src,
                                    tcp::TcpStack& dst, std::uint64_t bytes,
                                    const tcp::TcpOptions& options,
+                                   std::size_t streams = 1,
                                    SimTime deadline = SimTime::seconds(3600),
                                    net::Port port = 5001);
-
-/// PSockets-style striping: `streams` parallel TCP connections each carry
-/// bytes/streams; completion is when every stripe has fully arrived.
-RawTransferResult run_parallel_transfer(
-    sim::Simulator& sim, tcp::TcpStack& src, tcp::TcpStack& dst,
-    std::uint64_t bytes, std::size_t streams, const tcp::TcpOptions& options,
-    SimTime deadline = SimTime::seconds(3600), net::Port base_port = 6001);
 
 }  // namespace lsl::exp

@@ -515,15 +515,13 @@ ParseResult parse_scenario(const std::string& text) {
         return {std::nullopt,
                 err_at(line_no, "fidelity needs exactly one of packet|flow")};
       }
-      if (tokens[1] == "packet") {
-        scenario.fidelity = Fidelity::kPacket;
-      } else if (tokens[1] == "flow") {
-        scenario.fidelity = Fidelity::kFlow;
-      } else {
+      Fidelity fidelity = Fidelity::kPacket;
+      if (!parse_fidelity(tokens[1], fidelity)) {
         return {std::nullopt,
                 err_at(line_no,
                        "unknown fidelity '" + tokens[1] + "' (packet|flow)")};
       }
+      scenario.fidelity = fidelity;
       continue;
     }
 
@@ -691,8 +689,7 @@ std::vector<ScenarioOutcome> run_scenario(
         nws::PerformanceMonitor(std::move(sites), noise,
                                 seed ^ 0xC2B2AE3D27D4EB4FULL),
         topology_truth(topo), SimTime::from_seconds(rr.interval_s),
-        options, /*on_schedule=*/nullptr);
-    rescheduler->subscribe(
+        options,
         [&advisor, &harness](const sched::Scheduler& scheduler,
                              std::size_t /*changed_edges*/) {
           advisor->on_schedule(scheduler, harness.simulator().now());

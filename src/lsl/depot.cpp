@@ -238,8 +238,8 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
     pump();
   }
 
-  /// Claim relay buffer memory from the depot pool; fails the session when
-  /// the pool is exhausted.
+  /// Claim the session's relay buffer; fails the session when the depot
+  /// grants none (user_buffer_bytes == 0).
   bool reserve_buffer() {
     user_buffer_granted_ = depot_.reserve_user_memory();
     if (user_buffer_granted_ == 0) {
@@ -917,27 +917,11 @@ void Depot::schedule_store(const SessionHeader& header, std::uint64_t bytes) {
 }
 
 std::uint64_t Depot::reserve_user_memory() {
-  if (config_.total_user_memory_bytes == 0) {
-    if (mc::ProtocolObserver* po = mc::observer()) {
-      po->on_buffer(node_id(),
-                    static_cast<std::int64_t>(config_.user_buffer_bytes));
-    }
-    return config_.user_buffer_bytes;  // unlimited pool
-  }
-  const std::uint64_t available =
-      config_.total_user_memory_bytes > user_memory_in_use_
-          ? config_.total_user_memory_bytes - user_memory_in_use_
-          : 0;
-  const std::uint64_t grant =
-      std::min(config_.user_buffer_bytes, available);
-  if (grant < config_.min_user_grant_bytes) {
-    return 0;
-  }
-  user_memory_in_use_ += grant;
   if (mc::ProtocolObserver* po = mc::observer()) {
-    po->on_buffer(node_id(), static_cast<std::int64_t>(grant));
+    po->on_buffer(node_id(),
+                  static_cast<std::int64_t>(config_.user_buffer_bytes));
   }
-  return grant;
+  return config_.user_buffer_bytes;
 }
 
 void Depot::release_user_memory(std::uint64_t bytes) {
@@ -947,11 +931,6 @@ void Depot::release_user_memory(std::uint64_t bytes) {
   if (mc::ProtocolObserver* po = mc::observer()) {
     po->on_buffer(node_id(), -static_cast<std::int64_t>(bytes));
   }
-  if (config_.total_user_memory_bytes == 0) {
-    return;  // unlimited pool: no shared accounting to update
-  }
-  LSL_ASSERT(user_memory_in_use_ >= bytes);
-  user_memory_in_use_ -= bytes;
 }
 
 std::uint64_t Depot::commit_progress(const SessionId& id,

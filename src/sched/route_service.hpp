@@ -5,12 +5,14 @@
 // each shard runs its own epsilon-damped MMP Scheduler over the shard's
 // submatrix, and inter-shard routes relay through per-shard gateway depots
 // (src -> home gateway -> ... -> dst gateway -> dst). The write side --
-// NWS rescheduler ticks diff-applying fresh forecast matrices -- repairs
-// the shard schedulers incrementally, then freezes everything into an
-// immutable RouteSnapshot and publishes it RCU-style through one
-// std::atomic<std::shared_ptr>. Readers resolve from whatever snapshot
-// they load: zero locks, zero writer coordination, and a torn view is
-// impossible because snapshots never mutate after publication.
+// one writer thread applying fresh forecast matrices, e.g. from an
+// nws::Rescheduler tick callback -- repairs the shard schedulers
+// incrementally, then freezes everything into an immutable RouteSnapshot
+// and publishes it RCU-style through one std::atomic<std::shared_ptr>.
+// The shard Schedulers are single-owner writer state; only snapshots
+// cross threads. Readers resolve from whatever snapshot they load: zero
+// locks, zero writer coordination, and a torn view is impossible because
+// snapshots never mutate after publication.
 //
 // With a single shard the service is a pure re-encoding of one Scheduler:
 // identical trees, identical decisions, identical sweep output (pinned by
@@ -94,19 +96,6 @@ class RouteService {
 
   /// Rebuild every shard's stale trees and publish a new snapshot epoch.
   void publish();
-
-  /// Subscribe to an nws::Rescheduler's tick fan-out: every tick
-  /// diff-applies the fresh scheduler's matrix into this service (and
-  /// publishes when anything moved). Header-only template so lsl_sched
-  /// keeps zero link dependency on lsl_nws; returns the subscription
-  /// token for ReschedulerT::unsubscribe.
-  template <typename ReschedulerT>
-  std::uint64_t attach(ReschedulerT& rescheduler) {
-    return rescheduler.subscribe(
-        [this](const Scheduler& fresh, std::size_t /*changed_edges*/) {
-          apply_matrix(fresh.matrix());
-        });
-  }
 
  private:
   void account_batch(std::size_t batch, const RouteSnapshot& snap) const;

@@ -1,6 +1,7 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <numeric>
 #include <utility>
@@ -46,18 +47,13 @@ SchedMetrics* SchedMetrics::get() {
 Scheduler::Scheduler(CostMatrix matrix, SchedulerOptions options)
     : matrix_(std::move(matrix)),
       options_(std::move(options)),
-      trees_(matrix_.size()),
-      tree_once_(std::make_unique<std::once_flag[]>(matrix_.size())),
-      tree_gen_(std::make_unique<std::atomic<std::uint64_t>[]>(
-          matrix_.size())) {
+      trees_(matrix_.size()) {
   LSL_ASSERT(options_.host_costs.empty() ||
              options_.host_costs.size() == matrix_.size());
   // The construction-time set_cost churn predates every cached tree;
   // nobody will repair across it.
   matrix_.compact_changes(matrix_.generation());
-  for (std::size_t i = 0; i < matrix_.size(); ++i) {
-    tree_gen_[i].store(matrix_.generation(), std::memory_order_relaxed);
-  }
+  tree_gen_.assign(matrix_.size(), matrix_.generation());
 }
 
 MmpOptions Scheduler::mmp_options() const {
@@ -74,8 +70,7 @@ Scheduler::SlotOutcome Scheduler::refresh_slot(std::size_t src) const {
     trees_[src] = build_mmp_tree(matrix_, src, mmp_options());
     out.kind = SlotOutcome::kBuilt;
   } else {
-    const std::uint64_t have =
-        tree_gen_[src].load(std::memory_order_relaxed);
+    const std::uint64_t have = tree_gen_[src];
     if (have == gen) {
       return out;  // kUntouched
     }
@@ -91,52 +86,44 @@ Scheduler::SlotOutcome Scheduler::refresh_slot(std::size_t src) const {
     }
   }
   out.collapses = trees_[src]->epsilon_collapses;
-  tree_gen_[src].store(gen, std::memory_order_release);
+  tree_gen_[src] = gen;
   return out;
 }
 
-void Scheduler::refresh_slot_with_metrics(std::size_t src) const {
-  SchedMetrics* m = SchedMetrics::get();
-  if (m == nullptr) {
-    (void)refresh_slot(src);
-    return;
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  const SlotOutcome out = refresh_slot(src);
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
+void Scheduler::account(SchedMetrics& m, const SlotOutcome& out) {
   switch (out.kind) {
     case SlotOutcome::kUntouched:
       break;
     case SlotOutcome::kRebuilt:
-      m->repair_fallbacks->inc();
+      m.repair_fallbacks->inc();
       [[fallthrough]];
     case SlotOutcome::kBuilt:
-      m->trees_built->inc();
-      m->epsilon_collapses->inc(out.collapses);
-      m->tree_build_us->observe(
-          std::chrono::duration<double, std::micro>(elapsed).count());
+      m.trees_built->inc();
+      m.epsilon_collapses->inc(out.collapses);
       break;
     case SlotOutcome::kRepaired:
-      m->tree_repairs->inc();
+      m.tree_repairs->inc();
       break;
   }
 }
 
 const MmpTree& Scheduler::tree_from(std::size_t src) const {
   LSL_ASSERT(src < trees_.size());
-  // First build: thread-safe lazy init, so a shared const Scheduler can be
-  // routed from trial workers (the old optional-through-const cache raced).
-  std::call_once(tree_once_[src], [&] { refresh_slot_with_metrics(src); });
-  // Stale after a topology update: repair under the refresh lock. The
-  // acquire load pairs with refresh_slot's release store, so a reader that
-  // observes the current generation also observes the repaired tree.
-  if (tree_gen_[src].load(std::memory_order_acquire) !=
-      matrix_.generation()) {
-    std::lock_guard<std::mutex> lock(refresh_mutex_);
-    if (tree_gen_[src].load(std::memory_order_relaxed) !=
-        matrix_.generation()) {
-      refresh_slot_with_metrics(src);
-    }
+  if (trees_[src].has_value() && tree_gen_[src] == matrix_.generation()) {
+    return *trees_[src];
+  }
+  SchedMetrics* m = SchedMetrics::get();
+  if (m == nullptr) {
+    (void)refresh_slot(src);
+    return *trees_[src];
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  const SlotOutcome out = refresh_slot(src);
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  account(*m, out);
+  if (out.kind == SlotOutcome::kBuilt || out.kind == SlotOutcome::kRebuilt) {
+    m->tree_build_us->observe(
+        std::chrono::duration<double, std::micro>(elapsed).count());
   }
   return *trees_[src];
 }
@@ -263,8 +250,7 @@ void Scheduler::compact_change_log() {
   std::uint64_t min_gen = matrix_.generation();
   for (std::size_t i = 0; i < trees_.size(); ++i) {
     if (trees_[i].has_value()) {
-      min_gen = std::min(min_gen,
-                         tree_gen_[i].load(std::memory_order_relaxed));
+      min_gen = std::min(min_gen, tree_gen_[i]);
     }
   }
   matrix_.compact_changes(min_gen);
@@ -299,11 +285,11 @@ std::size_t Scheduler::apply_matrix(const CostMatrix& fresh) {
   return changed;
 }
 
-void Scheduler::prebuild_trees(ThreadPool& pool,
+void Scheduler::prebuild_trees(std::size_t jobs,
                                std::span<const std::size_t> sources) {
   const std::size_t n = trees_.size();
-  // Deduplicated worklist: the first build is once-guarded, but a stale
-  // slot's repair needs exactly one owner.
+  // Deduplicated worklist: each slot has exactly one owner among the
+  // workers, so they refresh disjoint slots without any lock.
   std::vector<std::size_t> work;
   if (sources.empty()) {
     work.resize(n);
@@ -318,56 +304,24 @@ void Scheduler::prebuild_trees(ThreadPool& pool,
       }
     }
   }
-  // Workers touch disjoint slots and no shared instruments; metrics are
-  // accounted afterwards in slot order so the totals are identical for any
-  // job count (the per-build wall-clock histogram is deliberately skipped:
-  // it could never be deterministic across workers).
+  // Workers touch no shared instruments; metrics are accounted afterwards
+  // in slot order so the totals are identical for any job count (the
+  // per-build wall-clock histogram is deliberately skipped: it could never
+  // be deterministic across workers).
   std::vector<SlotOutcome> outcomes(work.size());
   std::atomic<std::size_t> cursor{0};
+  ThreadPool pool((jobs == 0 ? ThreadPool::default_jobs() : jobs) - 1);
   pool.run_on_all([&](std::size_t) {
-    while (true) {
-      const std::size_t w = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (w >= work.size()) {
-        return;
-      }
-      const std::size_t src = work[w];
-      bool first_build = false;
-      std::call_once(tree_once_[src], [&] {
-        outcomes[w] = refresh_slot(src);
-        first_build = true;
-      });
-      if (!first_build &&
-          tree_gen_[src].load(std::memory_order_relaxed) !=
-              matrix_.generation()) {
-        outcomes[w] = refresh_slot(src);
-      }
+    for (std::size_t w = cursor.fetch_add(1, std::memory_order_relaxed);
+         w < work.size(); w = cursor.fetch_add(1, std::memory_order_relaxed)) {
+      outcomes[w] = refresh_slot(work[w]);
     }
   });
   if (SchedMetrics* m = SchedMetrics::get(); m != nullptr) {
     for (const SlotOutcome& out : outcomes) {
-      switch (out.kind) {
-        case SlotOutcome::kUntouched:
-          break;
-        case SlotOutcome::kRebuilt:
-          m->repair_fallbacks->inc();
-          [[fallthrough]];
-        case SlotOutcome::kBuilt:
-          m->trees_built->inc();
-          m->epsilon_collapses->inc(out.collapses);
-          break;
-        case SlotOutcome::kRepaired:
-          m->tree_repairs->inc();
-          break;
-      }
+      account(*m, out);
     }
   }
-}
-
-void Scheduler::prebuild_trees(std::size_t jobs,
-                               std::span<const std::size_t> sources) {
-  const std::size_t want = jobs == 0 ? ThreadPool::default_jobs() : jobs;
-  ThreadPool pool(want - 1);
-  prebuild_trees(pool, sources);
 }
 
 }  // namespace lsl::sched

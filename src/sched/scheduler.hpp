@@ -7,17 +7,15 @@
 // routes, or reduced to destination/next-hop route tables for hop-by-hop
 // forwarding at depots (section 4.2).
 //
-// Concurrency contract: every const member is safe to call from any number
-// of threads at once (the lazy tree cache is built under per-slot
-// once-flags and refreshed under a mutex). The mutating topology updates
-// (set_cost / exclude_node / apply_matrix / prebuild_trees) require
-// exclusive access -- no concurrent readers.
+// Ownership: a Scheduler has one owner thread. Its const members still
+// fill the lazy tree cache, so it is not safe to share across threads;
+// readers on other threads go through an immutable sched::RouteSnapshot.
+// The one threaded path is prebuild_trees, whose workers refresh disjoint
+// slots and are joined before it returns.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <memory>
-#include <mutex>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -26,10 +24,6 @@
 #include "obs/metrics.hpp"
 #include "sched/cost_matrix.hpp"
 #include "sched/minimax.hpp"
-
-namespace lsl {
-class ThreadPool;
-}
 
 namespace lsl::sched {
 
@@ -107,7 +101,7 @@ class Scheduler {
   /// (the paper reports 26% on its PlanetLab pool).
   [[nodiscard]] double fraction_scheduled() const;
 
-  // ---- in-place topology updates (exclusive access required) ---------------
+  // ---- in-place topology updates --------------------------------------------
 
   /// Update one directed edge; cached trees repair lazily on next use.
   void set_cost(std::size_t i, std::size_t j, double cost);
@@ -124,14 +118,9 @@ class Scheduler {
 
   /// Build or refresh the trees for every source (or just `sources`) up
   /// front on `jobs` worker threads (0 = one per hardware thread). Each
-  /// source's tree depends only on the shared matrix, so the result is
-  /// identical for any job count; see docs/performance.md. After this, a
-  /// shared `const Scheduler` serves route()/tree_from() from workers with
-  /// no cache mutation at all.
+  /// source's tree depends only on the matrix, so the result is identical
+  /// for any job count; see docs/performance.md.
   void prebuild_trees(std::size_t jobs = 0,
-                      std::span<const std::size_t> sources = {});
-  /// Same, on an existing pool.
-  void prebuild_trees(ThreadPool& pool,
                       std::span<const std::size_t> sources = {});
 
   [[nodiscard]] const CostMatrix& matrix() const { return matrix_; }
@@ -145,22 +134,18 @@ class Scheduler {
   };
 
   [[nodiscard]] MmpOptions mmp_options() const;
-  /// Build (first use) or repair (stale) slot `src`. Not thread-safe per
-  /// slot; callers serialize per-slot access. Touches no metrics.
+  /// Build (first use) or repair (stale) slot `src`; a current slot is
+  /// left untouched. Touches no metrics.
   SlotOutcome refresh_slot(std::size_t src) const;
-  /// Serial path: refresh + account metrics (tree_from's fast path).
-  void refresh_slot_with_metrics(std::size_t src) const;
+  /// Add one slot's outcome to the sched.mmp.* counters.
+  static void account(SchedMetrics& m, const SlotOutcome& out);
   void compact_change_log();
 
   CostMatrix matrix_;
   SchedulerOptions options_;
   mutable std::vector<std::optional<MmpTree>> trees_;
-  /// First build of each slot (thread-safe lazy init through const).
-  mutable std::unique_ptr<std::once_flag[]> tree_once_;
-  /// Matrix generation each cached tree reflects; readers revalidate with
-  /// acquire loads and repair stale slots under refresh_mutex_.
-  mutable std::unique_ptr<std::atomic<std::uint64_t>[]> tree_gen_;
-  mutable std::mutex refresh_mutex_;
+  /// Matrix generation each cached tree reflects.
+  mutable std::vector<std::uint64_t> tree_gen_;
 };
 
 }  // namespace lsl::sched

@@ -157,10 +157,7 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
   // The measurement phase touches no built-in instrumentation (simulated
   // fidelities build private harnesses); skip per-trial registry copies.
   trial_options.scope_metrics = false;
-  const bool simulated = config.fidelity != SweepFidelity::kAnalytic;
-  const exp::Fidelity sim_fidelity = config.fidelity == SweepFidelity::kFlow
-                                         ? exp::Fidelity::kFlow
-                                         : exp::Fidelity::kPacket;
+  const bool simulated = config.fidelity.has_value();
   // Run one transfer of `size` bytes along a materialized chain; returns
   // achieved bandwidth in bit/s (0 on a deadline miss, which only a
   // pathological realization can produce at this deadline).
@@ -169,7 +166,7 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
           const std::vector<PairRealization>& hops, std::uint64_t size,
           std::uint64_t sim_seed) -> double {
     Materialized m =
-        materialize_path(grid, path, hops, sim_seed, sim_fidelity);
+        materialize_path(grid, path, hops, sim_seed, *config.fidelity);
     session::TransferSpec spec;
     spec.dst = m.nodes.back();
     for (std::size_t i = 1; i + 1 < m.nodes.size(); ++i) {
@@ -240,6 +237,10 @@ SweepResult run_speedup_sweep(const SyntheticGrid& grid,
   result.total_measurements +=
       cases.size() * sizes.size() * config.iterations * 2;
   return result;
+}
+
+const char* measurement_name(const std::optional<exp::Fidelity>& fidelity) {
+  return fidelity.has_value() ? exp::to_string(*fidelity) : "analytic";
 }
 
 }  // namespace lsl::testbed

@@ -8,22 +8,15 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
+#include "exp/harness.hpp"
 #include "flow/path_model.hpp"
 #include "sched/scheduler.hpp"
 #include "testbed/grid.hpp"
 
 namespace lsl::testbed {
-
-/// How the measurement phase times each transfer. kAnalytic evaluates the
-/// closed-form flow model (the paper's 362k-measurement sweep runs in
-/// seconds). kFlow and kPacket materialize every (case, size, iteration,
-/// mode) as a small chain topology carrying the same PairRealization and
-/// run the transfer through the full LSL session machinery at that
-/// fidelity -- orders of magnitude slower, but cross-validates the
-/// analytic numbers end to end (see docs/flow_fidelity.md).
-enum class SweepFidelity { kAnalytic, kFlow, kPacket };
 
 struct SweepConfig {
   /// Transfer sizes: 2^n MB for n in [0, max_size_exp).
@@ -50,10 +43,15 @@ struct SweepConfig {
   /// see docs/performance.md for the determinism contract. 0 = one worker
   /// per hardware thread.
   std::size_t jobs = 1;
-  /// Measurement back end (analytic model, fluid simulation, or packet
-  /// simulation). Monitor/scheduler/discovery phases are identical across
-  /// fidelities; only the per-case timing differs.
-  SweepFidelity fidelity = SweepFidelity::kAnalytic;
+  /// How the measurement phase times each transfer. Unset evaluates the
+  /// closed-form flow model (the paper's 362k-measurement sweep runs in
+  /// seconds). kFlow and kPacket materialize every (case, size, iteration,
+  /// mode) as a small chain topology carrying the same PairRealization and
+  /// run the transfer through the full LSL session machinery at that
+  /// fidelity -- orders of magnitude slower, but cross-validates the
+  /// analytic numbers end to end (see docs/flow_fidelity.md). Monitor,
+  /// scheduler and discovery phases are identical across back ends.
+  std::optional<exp::Fidelity> fidelity;
   /// Shards of the sched::RouteService the sweep discovers routes through
   /// (must be >= 1). A single shard holds exactly the Scheduler's minimax
   /// trees; more shards relay inter-shard routes through gateway depots.
@@ -77,5 +75,9 @@ struct SweepResult {
 [[nodiscard]] SweepResult run_speedup_sweep(const SyntheticGrid& grid,
                                             const SweepConfig& config,
                                             std::uint64_t seed);
+
+/// Name of a sweep's measurement back end: "analytic" when unset.
+[[nodiscard]] const char* measurement_name(
+    const std::optional<exp::Fidelity>& fidelity);
 
 }  // namespace lsl::testbed

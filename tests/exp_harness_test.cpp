@@ -31,6 +31,17 @@ std::unique_ptr<SimHarness> make_pair_net(std::uint64_t seed = 1) {
   return h;
 }
 
+TEST(FidelityTest, ParseRoundTrips) {
+  for (const Fidelity fidelity : {Fidelity::kPacket, Fidelity::kFlow}) {
+    Fidelity parsed = Fidelity::kPacket;
+    ASSERT_TRUE(parse_fidelity(to_string(fidelity), parsed));
+    EXPECT_EQ(parsed, fidelity);
+  }
+  Fidelity out;
+  EXPECT_FALSE(parse_fidelity("analytic", out));  // a sweep-only back end
+  EXPECT_FALSE(parse_fidelity("FLOW", out));      // names are lowercase
+}
+
 TEST(SimHarnessTest, RunTransferRoundTrip) {
   const auto net = make_pair_net();
   auto& h = *net;
@@ -181,8 +192,8 @@ TEST(RawTcpTest, ParallelStripesDeliverExactly) {
   tcp::TcpStack sa(topo, a);
   tcp::TcpStack sb(topo, b);
   // 10 MB over 4 stripes (not divisible evenly: 2.5 MB each).
-  const auto r = run_parallel_transfer(sim, sa, sb, 10 * kMiB, 4,
-                                       tcp::TcpOptions{}.with_buffers(mib(1)));
+  const auto r = run_raw_transfer(sim, sa, sb, 10 * kMiB,
+                                  tcp::TcpOptions{}.with_buffers(mib(1)), 4);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.bytes_delivered, 10 * kMiB);
 }
@@ -202,8 +213,8 @@ TEST(RawTcpTest, ParallelBeatsSingleOnLossyHighRttPath) {
     topo.compute_routes();
     tcp::TcpStack sa(topo, a);
     tcp::TcpStack sb(topo, b);
-    return run_parallel_transfer(sim, sa, sb, mib(16), streams,
-                                 tcp::TcpOptions{}.with_buffers(mib(8)));
+    return run_raw_transfer(sim, sa, sb, mib(16),
+                            tcp::TcpOptions{}.with_buffers(mib(8)), streams);
   };
   const auto one = run(1);
   const auto four = run(4);

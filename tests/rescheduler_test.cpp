@@ -17,7 +17,7 @@ TEST(ReschedulerTest, RebuildsAtEveryInterval) {
       sim, PerformanceMonitor(kSites, NoiseModel{}, 1),
       [](std::size_t, std::size_t) { return Bandwidth::mbps(50); },
       SimTime::seconds(300), {.epsilon = 0.1},
-      [&](const sched::Scheduler&) { ++callbacks; });
+      [&](const sched::Scheduler&, std::size_t) { ++callbacks; });
   rescheduler.start();
   sim.run(SimTime::seconds(1501));
   // t=0, 300, 600, 900, 1200, 1500.
@@ -33,7 +33,7 @@ TEST(ReschedulerTest, StopHaltsTheLoop) {
   Rescheduler rescheduler(
       sim, PerformanceMonitor(kSites, NoiseModel{}, 2),
       [](std::size_t, std::size_t) { return Bandwidth::mbps(50); },
-      SimTime::seconds(300), {}, [&](const sched::Scheduler&) {
+      SimTime::seconds(300), {}, [&](const sched::Scheduler&, std::size_t) {
         ++callbacks;
       });
   rescheduler.start();
@@ -63,7 +63,7 @@ TEST(ReschedulerTest, AdaptsToChangedNetworkConditions) {
         return Bandwidth::mbps(60.0);
       },
       SimTime::seconds(300), {.epsilon = 0.1},
-      [&](const sched::Scheduler& scheduler) {
+      [&](const sched::Scheduler& scheduler, std::size_t) {
         decisions.push_back(scheduler.route(0, 2).uses_depots());
       });
   rescheduler.start();

@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
   std::size_t jobs = 1;
   std::size_t pool_size = 0;
   std::size_t route_shards = 1;
-  const char* fidelity_arg = nullptr;
+  std::optional<lsl::exp::Fidelity> fidelity;
   const char* cca_arg = nullptr;
   const char* metrics_path = nullptr;
   bool metrics_prom = false;
@@ -190,13 +190,13 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strncmp(argv[i], "--fidelity=", 11) == 0) {
-      fidelity_arg = argv[i] + 11;
-      if (std::strcmp(fidelity_arg, "packet") != 0 &&
-          std::strcmp(fidelity_arg, "flow") != 0) {
+      lsl::exp::Fidelity parsed = lsl::exp::Fidelity::kPacket;
+      if (!lsl::exp::parse_fidelity(argv[i] + 11, parsed)) {
         std::fprintf(stderr, "lslsim: unknown fidelity '%s' (packet|flow)\n",
-                     fidelity_arg);
+                     argv[i] + 11);
         return 2;
       }
+      fidelity = parsed;
     } else if (std::strncmp(argv[i], "--cca=", 6) == 0) {
       cca_arg = argv[i] + 6;
       lsl::flow::Cca parsed;
@@ -290,10 +290,8 @@ int main(int argc, char** argv) {
     }
     scenario.pool->size = pool_size;
   }
-  if (fidelity_arg != nullptr) {
-    scenario.fidelity = std::strcmp(fidelity_arg, "flow") == 0
-                            ? lsl::exp::Fidelity::kFlow
-                            : lsl::exp::Fidelity::kPacket;
+  if (fidelity.has_value()) {
+    scenario.fidelity = fidelity;
   }
   if (cca_arg != nullptr) {
     lsl::flow::Cca cca = lsl::flow::Cca::kNewReno;
@@ -470,11 +468,7 @@ int main(int argc, char** argv) {
     // Unset: the analytic flow model (the paper's sweep). A fidelity
     // directive or --fidelity flag runs every measurement on the simulator
     // at that fidelity instead.
-    if (scenario.fidelity.has_value()) {
-      sweep_config.fidelity = *scenario.fidelity == lsl::exp::Fidelity::kFlow
-                                  ? lsl::testbed::SweepFidelity::kFlow
-                                  : lsl::testbed::SweepFidelity::kPacket;
-    }
+    sweep_config.fidelity = scenario.fidelity;
     std::size_t sites = 0;
     {
       const auto names = grid.sites();
@@ -483,16 +477,11 @@ int main(int argc, char** argv) {
       unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
       sites = unique.size();
     }
-    const char* measurement =
-        sweep_config.fidelity == lsl::testbed::SweepFidelity::kAnalytic
-            ? "analytic"
-            : (sweep_config.fidelity == lsl::testbed::SweepFidelity::kFlow
-                   ? "flow"
-                   : "packet");
     std::printf("pool sweep: %zu hosts over %zu sites (seed %llu, jobs %zu, "
                 "%s measurement)\n\n",
                 grid.size(), sites,
-                static_cast<unsigned long long>(seed), jobs, measurement);
+                static_cast<unsigned long long>(seed), jobs,
+                lsl::testbed::measurement_name(sweep_config.fidelity));
     const auto t0 = std::chrono::steady_clock::now();
     const auto result = lsl::testbed::run_speedup_sweep(grid, sweep_config,
                                                         seed);
