@@ -6,9 +6,10 @@
 // down with LSL_BENCH_SCALE (e.g. 0.2 for smoke runs).
 //
 // Each bench also drops a metrics sidecar at exit: a JSON snapshot of the
-// global metrics registry named <artifact>.metrics.json (in the working
-// directory, or under LSL_BENCH_METRICS_DIR; LSL_BENCH_METRICS=off skips
-// it). See docs/observability.md.
+// global metrics registry named <binary>.metrics.json after the bench
+// binary (LSL_BENCH_BINARY, defined per target in bench/CMakeLists.txt),
+// in the working directory or under LSL_BENCH_METRICS_DIR;
+// LSL_BENCH_METRICS=off skips it. See docs/observability.md.
 // Perf-trajectory output: --json <file> (or LSL_BENCH_JSON=<file>) makes a
 // bench write machine-readable {bench, metric, value} records through
 // JsonRecords, so successive PRs can diff results/BENCH_*.json. Wall-clock
@@ -17,7 +18,6 @@
 // parallelism for benches that sweep.
 #pragma once
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -125,6 +125,37 @@ inline BenchOptions parse_options(int argc, char** argv) {
   return opts;
 }
 
+/// argv minus the shared --jobs/--json options and their values, for
+/// google-benchmark, which rejects flags it does not know:
+///   lsl::bench::BenchmarkArgs args(argc, argv);
+///   benchmark::Initialize(&args.argc, args.argv());
+/// Everything else (--benchmark_*) passes through in order.
+class BenchmarkArgs {
+ public:
+  BenchmarkArgs(int argc, char** argv) {
+    args_.reserve(static_cast<std::size_t>(argc) + 1);
+    for (int i = 0; i < argc; ++i) {
+      if ((std::strcmp(argv[i], "--jobs") == 0 ||
+           std::strcmp(argv[i], "--json") == 0) &&
+          i + 1 < argc) {
+        ++i;  // skip the option's value too
+      } else if (std::strncmp(argv[i], "--jobs=", 7) != 0 &&
+                 std::strncmp(argv[i], "--json=", 7) != 0) {
+        args_.push_back(argv[i]);
+      }
+    }
+    this->argc = static_cast<int>(args_.size());
+    args_.push_back(nullptr);
+  }
+
+  /// Count of the kept arguments; benchmark::Initialize updates it.
+  int argc = 0;
+  [[nodiscard]] char** argv() { return args_.data(); }
+
+ private:
+  std::vector<char*> args_;
+};
+
 /// Accumulates {bench, metric, value} records and writes them as a JSON
 /// array, one record per line (so text diffs and greps work record-wise).
 class JsonRecords {
@@ -180,27 +211,6 @@ inline void write_sidecar() {
   }
 }
 
-/// "Figure 2 -- two depots" -> "figure_2", a filesystem-safe slug from the
-/// artifact text up to its first " --" separator.
-inline std::string artifact_slug(const char* artifact) {
-  std::string slug;
-  for (const char* p = artifact; *p != '\0'; ++p) {
-    if (p[0] == ' ' && p[1] == '-' && p[2] == '-') {
-      break;
-    }
-    const unsigned char c = static_cast<unsigned char>(*p);
-    if (std::isalnum(c)) {
-      slug += static_cast<char>(std::tolower(c));
-    } else if (!slug.empty() && slug.back() != '_') {
-      slug += '_';
-    }
-  }
-  while (!slug.empty() && slug.back() == '_') {
-    slug.pop_back();
-  }
-  return slug.empty() ? "bench" : slug;
-}
-
 }  // namespace detail
 
 inline void banner(const char* artifact, const char* description) {
@@ -214,7 +224,9 @@ inline void banner(const char* artifact, const char* description) {
       v != nullptr && (std::string(v) == "off" || std::string(v) == "0")) {
     return;
   }
-  std::string path = detail::artifact_slug(artifact) + ".metrics.json";
+  // Named after the binary, not the artifact text: the eleven ablations
+  // share one artifact prefix but must not overwrite each other's sidecar.
+  std::string path = LSL_BENCH_BINARY ".metrics.json";
   if (const char* dir = std::getenv("LSL_BENCH_METRICS_DIR")) {
     path = std::string(dir) + "/" + path;
   }

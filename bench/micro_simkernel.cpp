@@ -8,7 +8,6 @@
 //   can track the kernel's perf trajectory (results/BENCH_kernel.json).
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <deque>
 #include <map>
 #include <string>
@@ -213,22 +212,8 @@ class RecordingReporter : public benchmark::ConsoleReporter {
 
 int main(int argc, char** argv) {
   const auto opts = lsl::bench::parse_options(argc, argv);
-  // Strip the bench_common flags before google-benchmark sees argv.
-  std::vector<char*> args;
-  args.reserve(static_cast<std::size_t>(argc) + 1);
-  for (int i = 0; i < argc; ++i) {
-    if ((std::strcmp(argv[i], "--json") == 0 ||
-         std::strcmp(argv[i], "--jobs") == 0) &&
-        i + 1 < argc) {
-      ++i;
-    } else if (std::strncmp(argv[i], "--json=", 7) != 0 &&
-               std::strncmp(argv[i], "--jobs=", 7) != 0) {
-      args.push_back(argv[i]);
-    }
-  }
-  args.push_back(nullptr);
-  int bench_argc = static_cast<int>(args.size()) - 1;
-  benchmark::Initialize(&bench_argc, args.data());
+  lsl::bench::BenchmarkArgs args(argc, argv);
+  benchmark::Initialize(&args.argc, args.argv());
   lsl::bench::JsonRecords records("micro_simkernel");
   RecordingReporter reporter(records);
   benchmark::RunSpecifiedBenchmarks(&reporter);

@@ -6,7 +6,7 @@ format: a JSON array of {"bench", "metric", "value"}) against the
 checked-in baseline under results/. Only machine-independent metrics
 participate:
 
-  *speedup*  -- higher is better (e.g. repair_vs_rebuild_speedup_512)
+  *speedup*  -- higher is better (e.g. mask_vs_copy_speedup_512)
   *ratio*    -- lower is better  (e.g. cancel_heavy_vs_schedule_ratio_1024)
 
 Both sides of such a metric come from the same process on the same

@@ -29,11 +29,11 @@ void Rescheduler::tick() {
     current_ = std::make_unique<sched::Scheduler>(monitor_.build_matrix(),
                                                   options_);
   } else {
-    // Diff-apply the fresh forecasts: cached trees stay live and repair
-    // only their affected subtrees on next use.
+    // Diff-apply the fresh forecasts: only the changed edges are written,
+    // and a cached tree is rebuilt on its next use only if any moved.
     changed_edges = current_->apply_matrix(monitor_.build_matrix());
   }
-  ++rebuilds_;
+  ++ticks_;
   if (obs::SpanRecorder* sr = obs::spans()) {
     sr->instant(sim_.now(), obs::SpanKind::kForecastEpoch, /*session=*/0, 0, 0,
                 "incremental", static_cast<double>(changed_edges));

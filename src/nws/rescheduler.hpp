@@ -3,11 +3,11 @@
 //
 // The Rescheduler owns the measure -> matrix -> schedule loop: on every
 // tick it takes one measurement epoch and diff-applies the accumulated
-// forecasts onto its one live scheduler, so the cached MMP trees repair
-// incrementally (the tick cost scales with forecast movement, not pool
-// size). It then hands the scheduler to its one consumer -- a route-table
-// installer, a sched::RouteAdvisor, a sched::RouteService -- through the
-// constructor callback.
+// forecasts onto its one live scheduler. An unchanged edge costs one
+// compare, and a cached MMP tree is rebuilt on its next use only if the
+// matrix moved. It then hands the scheduler to its one consumer -- a
+// route-table installer, a sched::RouteAdvisor, a sched::RouteService --
+// through the constructor callback.
 #pragma once
 
 #include <cstddef>
@@ -40,7 +40,8 @@ class Rescheduler {
 
   /// The live scheduler; null before the first tick.
   [[nodiscard]] const sched::Scheduler* current() const { return current_.get(); }
-  [[nodiscard]] std::size_t rebuilds() const { return rebuilds_; }
+  /// Ticks taken so far, the first (which builds the scheduler) included.
+  [[nodiscard]] std::size_t ticks() const { return ticks_; }
 
   /// The owned monitor (fault injection flips its measurement blackout).
   [[nodiscard]] PerformanceMonitor& monitor() { return monitor_; }
@@ -56,7 +57,7 @@ class Rescheduler {
   OnSchedule on_schedule_;
   std::unique_ptr<sched::Scheduler> current_;
   sim::Timer timer_;
-  std::size_t rebuilds_ = 0;
+  std::size_t ticks_ = 0;
 };
 
 }  // namespace lsl::nws

@@ -1,6 +1,6 @@
 #include "sched/cost_matrix.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -18,26 +18,6 @@ double CostMatrix::cost(std::size_t i, std::size_t j) const {
   return costs_[i * n_ + j];
 }
 
-void CostMatrix::log_change(std::uint32_t from, std::uint32_t to,
-                            bool decreased, bool node_excluded) {
-  // Bound the log so an unconsumed matrix (nobody repairing trees) costs
-  // O(n) memory, not one entry per historical mutation. Overflow collapses
-  // to "everything before this generation is untracked": stale consumers
-  // then rebuild instead of repairing.
-  const std::size_t cap = 8 * n_ + 64;
-  if (change_log_.size() >= cap) {
-    untracked_below_ = generation_;
-    change_log_.clear();
-  }
-  CostChange change;
-  change.generation = generation_;
-  change.from = from;
-  change.to = to;
-  change.decreased = decreased;
-  change.node_excluded = node_excluded;
-  change_log_.push_back(change);
-}
-
 void CostMatrix::set_cost(std::size_t i, std::size_t j, double cost) {
   LSL_ASSERT(i < n_ && j < n_);
   LSL_ASSERT_MSG(cost >= 0.0, "negative edge cost");
@@ -45,11 +25,8 @@ void CostMatrix::set_cost(std::size_t i, std::size_t j, double cost) {
   if (slot == cost) {
     return;  // no-op writes don't dirty cached trees
   }
-  const bool decreased = cost < slot;
   slot = cost;
   ++generation_;
-  log_change(static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j),
-             decreased, false);
 }
 
 void CostMatrix::set_bandwidth(std::size_t i, std::size_t j, Bandwidth bw) {
@@ -75,39 +52,8 @@ void CostMatrix::exclude_node(std::size_t i) {
     }
   }
   if (changed) {
-    // One node_excluded entry summarizes the up-to-2(n-1) edge increases.
     ++generation_;
-    log_change(static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(i),
-               false, true);
   }
-}
-
-std::span<const CostChange> CostMatrix::changes_since(
-    std::uint64_t since) const {
-  LSL_ASSERT_MSG(changes_tracked_since(since),
-                 "change log overflowed; caller must rebuild");
-  // The log is sorted by generation: binary-search the first entry > since.
-  const auto first = std::upper_bound(
-      change_log_.begin(), change_log_.end(), since,
-      [](std::uint64_t gen, const CostChange& c) { return gen < c.generation; });
-  return {change_log_.data() +
-              static_cast<std::size_t>(first - change_log_.begin()),
-          change_log_.data() + change_log_.size()};
-}
-
-bool CostMatrix::changes_tracked_since(std::uint64_t since) const {
-  return since >= untracked_below_;
-}
-
-void CostMatrix::compact_changes(std::uint64_t consumed) {
-  const auto last = std::upper_bound(
-      change_log_.begin(), change_log_.end(), consumed,
-      [](std::uint64_t gen, const CostChange& c) { return gen < c.generation; });
-  change_log_.erase(change_log_.begin(), last);
-  // Everything at or below `consumed` is gone from the log: a consumer
-  // whose snapshot predates it must fail changes_tracked_since and rebuild
-  // rather than repair from a silently truncated span.
-  untracked_below_ = std::max(untracked_below_, consumed);
 }
 
 Bandwidth CostMatrix::bandwidth(std::size_t i, std::size_t j) const {

@@ -4,16 +4,14 @@
 // the bandwidth available to long-lived flows; any order-preserving metric
 // works.
 //
-// The matrix is versioned: every mutation bumps a generation counter and
-// appends to a change log, so consumers that cache derived structures
-// (the scheduler's MMP trees) can repair them incrementally instead of
-// rebuilding from scratch on every drift epoch or blacklist event.
+// The matrix is versioned: every mutation that changes an edge bumps a
+// generation counter, so consumers that cache derived structures (the
+// scheduler's MMP trees) can tell a stale one from a current one.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -22,20 +20,6 @@
 namespace lsl::sched {
 
 constexpr double kInfiniteCost = std::numeric_limits<double>::infinity();
-
-/// One logged mutation of the performance topology. A `node_excluded`
-/// entry records a blacklist: every edge to or from `from` (== `to`)
-/// became infinite. A plain entry records one directed edge `from -> to`,
-/// with `decreased` set when the new cost is lower than the old one
-/// (decreases can re-route arbitrary subtrees; increases only invalidate
-/// paths that used the edge).
-struct CostChange {
-  std::uint64_t generation = 0;
-  std::uint32_t from = 0;
-  std::uint32_t to = 0;
-  bool decreased = false;
-  bool node_excluded = false;
-};
 
 class CostMatrix {
  public:
@@ -64,27 +48,9 @@ class CostMatrix {
 
   [[nodiscard]] Bandwidth bandwidth(std::size_t i, std::size_t j) const;
 
-  // ---- change tracking (incremental MMP tree repair) -----------------------
-
-  /// Bumped once per mutating call that actually changed an edge.
+  /// Bumped once per mutating call that actually changed an edge: the
+  /// staleness stamp of trees built from this matrix.
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
-
-  /// Changes logged after generation `since`, oldest first. Valid only when
-  /// changes_tracked_since(since) is true; the span is invalidated by the
-  /// next mutation or compact_changes() call.
-  [[nodiscard]] std::span<const CostChange> changes_since(
-      std::uint64_t since) const;
-
-  /// False when the log overflowed past `since` (too many changes since the
-  /// consumer last caught up); the consumer must fall back to a rebuild.
-  [[nodiscard]] bool changes_tracked_since(std::uint64_t since) const;
-
-  /// Drop log entries at or below `consumed` (every consumer caught up to
-  /// that generation); bounds log memory between consumer refreshes. A
-  /// consumer that still holds an older snapshot fails
-  /// changes_tracked_since afterwards and rebuilds -- miscomputing the
-  /// minimum consumed generation costs a rebuild, never a wrong tree.
-  void compact_changes(std::uint64_t consumed);
 
   /// Node labels (host names / sites), for reporting and tree-shaping tests.
   void set_label(std::size_t i, std::string name, std::string site = {});
@@ -92,19 +58,11 @@ class CostMatrix {
   [[nodiscard]] const std::string& site(std::size_t i) const;
 
  private:
-  void log_change(std::uint32_t from, std::uint32_t to, bool decreased,
-                  bool node_excluded);
-
   std::size_t n_;
   std::vector<double> costs_;  ///< row-major n x n
   std::vector<std::string> names_;
   std::vector<std::string> sites_;
   std::uint64_t generation_ = 0;
-  /// Append-only within a generation window, sorted by generation.
-  std::vector<CostChange> change_log_;
-  /// Changes at or below this generation are no longer reconstructible
-  /// (log overflow or compaction); consumers behind it must rebuild.
-  std::uint64_t untracked_below_ = 0;
 };
 
 }  // namespace lsl::sched

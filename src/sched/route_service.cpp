@@ -83,7 +83,7 @@ std::size_t RouteService::apply_matrix(const CostMatrix& fresh) {
       }
       matrix_.set_cost(i, j, want[j]);
       ++changed;
-      // Intra-shard edges repair the owning scheduler in place;
+      // Intra-shard edges go to the owning scheduler (its trees go stale);
       // cross-shard edges only feed the gateway overlay, which publish()
       // re-derives from matrix_ wholesale.
       const std::uint32_t si = layout_.shard_of[i];

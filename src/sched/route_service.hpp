@@ -6,9 +6,10 @@
 // submatrix, and inter-shard routes relay through per-shard gateway depots
 // (src -> home gateway -> ... -> dst gateway -> dst). The write side --
 // one writer thread applying fresh forecast matrices, e.g. from an
-// nws::Rescheduler tick callback -- repairs the shard schedulers
-// incrementally, then freezes everything into an immutable RouteSnapshot
-// and publishes it RCU-style through one std::atomic<std::shared_ptr>.
+// nws::Rescheduler tick callback -- writes the changed edges into the
+// shard schedulers, rebuilds their stale trees, then freezes everything
+// into an immutable RouteSnapshot and publishes it RCU-style through one
+// std::atomic<std::shared_ptr>.
 // The shard Schedulers are single-owner writer state; only snapshots
 // cross threads. Readers resolve from whatever snapshot they load: zero
 // locks, zero writer coordination, and a torn view is impossible because
@@ -88,7 +89,7 @@ class RouteService {
   // ---- write side (one writer thread; no concurrent writers) -------------
 
   /// Diff-apply a freshly measured full-pool matrix: changed intra-shard
-  /// edges repair the owning shard's scheduler incrementally, cross-shard
+  /// edges mark the owning shard's cached trees stale, cross-shard
   /// edges feed the gateway overlay, and a changed tick publishes a new
   /// snapshot epoch. A no-change tick publishes nothing (readers keep the
   /// current epoch; its age gauge climbs). Returns changed directed edges.

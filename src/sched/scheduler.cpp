@@ -23,7 +23,6 @@ SchedMetrics* SchedMetrics::get() {
   if (bound_uid != reg.uid()) {
     bound_uid = reg.uid();
     metrics.trees_built = &reg.counter("sched.mmp.trees_built");
-    metrics.tree_repairs = &reg.counter("sched.mmp.tree_repairs");
     metrics.repair_fallbacks = &reg.counter("sched.mmp.repair_fallbacks");
     metrics.epsilon_collapses = &reg.counter("sched.mmp.epsilon_collapses");
     metrics.route_decisions = &reg.counter("sched.mmp.route_decisions");
@@ -50,9 +49,6 @@ Scheduler::Scheduler(CostMatrix matrix, SchedulerOptions options)
       trees_(matrix_.size()) {
   LSL_ASSERT(options_.host_costs.empty() ||
              options_.host_costs.size() == matrix_.size());
-  // The construction-time set_cost churn predates every cached tree;
-  // nobody will repair across it.
-  matrix_.compact_changes(matrix_.generation());
   tree_gen_.assign(matrix_.size(), matrix_.generation());
 }
 
@@ -67,24 +63,13 @@ Scheduler::SlotOutcome Scheduler::refresh_slot(std::size_t src) const {
   const std::uint64_t gen = matrix_.generation();
   SlotOutcome out;
   if (!trees_[src].has_value()) {
-    trees_[src] = build_mmp_tree(matrix_, src, mmp_options());
     out.kind = SlotOutcome::kBuilt;
+  } else if (tree_gen_[src] != gen) {
+    out.kind = SlotOutcome::kRebuilt;
   } else {
-    const std::uint64_t have = tree_gen_[src];
-    if (have == gen) {
-      return out;  // kUntouched
-    }
-    if (matrix_.changes_tracked_since(have)) {
-      const auto result = repair_mmp_tree(
-          *trees_[src], matrix_, matrix_.changes_since(have), mmp_options());
-      out.kind = result.repaired ? SlotOutcome::kRepaired
-                                 : SlotOutcome::kRebuilt;
-    } else {
-      // The change log overflowed since this tree last caught up.
-      trees_[src] = build_mmp_tree(matrix_, src, mmp_options());
-      out.kind = SlotOutcome::kRebuilt;
-    }
+    return out;  // kUntouched
   }
+  trees_[src] = build_mmp_tree(matrix_, src, mmp_options());
   out.collapses = trees_[src]->epsilon_collapses;
   tree_gen_[src] = gen;
   return out;
@@ -100,9 +85,6 @@ void Scheduler::account(SchedMetrics& m, const SlotOutcome& out) {
     case SlotOutcome::kBuilt:
       m.trees_built->inc();
       m.epsilon_collapses->inc(out.collapses);
-      break;
-    case SlotOutcome::kRepaired:
-      m.tree_repairs->inc();
       break;
   }
 }
@@ -121,7 +103,7 @@ const MmpTree& Scheduler::tree_from(std::size_t src) const {
   const SlotOutcome out = refresh_slot(src);
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   account(*m, out);
-  if (out.kind == SlotOutcome::kBuilt || out.kind == SlotOutcome::kRebuilt) {
+  if (out.kind != SlotOutcome::kUntouched) {
     m->tree_build_us->observe(
         std::chrono::duration<double, std::micro>(elapsed).count());
   }
@@ -163,41 +145,23 @@ Scheduler::Decision Scheduler::route_avoiding(
   if (excluded.empty()) {
     return route(src, dst);
   }
+  // Exclusion overlay: the masked nodes never enter the tree, so the
+  // reroute needs no n x n matrix copy.
   const std::size_t n = matrix_.size();
-  // Exclusion overlay, reused across calls: no n x n matrix copy and no
-  // steady-state allocation per reroute.
-  thread_local std::vector<std::uint8_t> mask;
-  thread_local std::vector<CostChange> changes;
-  mask.assign(n, 0);
-  changes.clear();
+  std::vector<std::uint8_t> mask(n, 0);
   for (const std::size_t node : excluded) {
-    if (node < n && node != src && node != dst && mask[node] == 0) {
+    if (node < n && node != src && node != dst) {
       mask[node] = 1;
-      CostChange change;
-      change.from = static_cast<std::uint32_t>(node);
-      change.to = static_cast<std::uint32_t>(node);
-      change.node_excluded = true;
-      changes.push_back(change);
     }
   }
-  const MmpTree* tree = &tree_from(src);
-  MmpTree patched;
-  if (!changes.empty()) {
-    // Copy the cached tree (O(n)) and re-settle just the subtrees hanging
-    // off the excluded nodes. At epsilon > 0 the repair falls back to a
-    // masked from-scratch build (exclusions are not replay-exact there) --
-    // still no second matrix, just an O(n^2) relaxation pass.
-    patched = *tree;
-    MmpOptions mmp = mmp_options();
-    mmp.excluded = mask;
-    (void)repair_mmp_tree(patched, matrix_, changes, mmp);
-    tree = &patched;
-  }
+  MmpOptions mmp = mmp_options();
+  mmp.excluded = mask;
+  const MmpTree tree = build_mmp_tree(matrix_, src, mmp);
   Decision decision;
   decision.direct_cost = matrix_.cost(src, dst);
-  decision.path = tree->path_to(dst);
+  decision.path = tree.path_to(dst);
   if (!decision.path.empty()) {
-    decision.scheduled_cost = tree->cost[dst];
+    decision.scheduled_cost = tree.cost[dst];
   }
   if (SchedMetrics* m = SchedMetrics::get(); m != nullptr) {
     m->route_decisions->inc();
@@ -246,24 +210,8 @@ double Scheduler::fraction_scheduled() const {
   return static_cast<double>(scheduled) / static_cast<double>(total);
 }
 
-void Scheduler::compact_change_log() {
-  std::uint64_t min_gen = matrix_.generation();
-  for (std::size_t i = 0; i < trees_.size(); ++i) {
-    if (trees_[i].has_value()) {
-      min_gen = std::min(min_gen, tree_gen_[i]);
-    }
-  }
-  matrix_.compact_changes(min_gen);
-}
-
 void Scheduler::set_cost(std::size_t i, std::size_t j, double cost) {
   matrix_.set_cost(i, j, cost);
-  compact_change_log();
-}
-
-void Scheduler::exclude_node(std::size_t node) {
-  matrix_.exclude_node(node);
-  compact_change_log();
 }
 
 std::size_t Scheduler::apply_matrix(const CostMatrix& fresh) {
@@ -281,7 +229,6 @@ std::size_t Scheduler::apply_matrix(const CostMatrix& fresh) {
       }
     }
   }
-  compact_change_log();
   return changed;
 }
 

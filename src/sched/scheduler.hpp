@@ -30,12 +30,13 @@ namespace lsl::sched {
 /// Process-wide scheduler instruments in the global metrics registry.
 struct SchedMetrics {
   obs::Counter* trees_built;       ///< sched.mmp.trees_built
-  obs::Counter* tree_repairs;      ///< sched.mmp.tree_repairs (incremental)
-  obs::Counter* repair_fallbacks;  ///< sched.mmp.repair_fallbacks
+  /// sched.mmp.repair_fallbacks: rebuilds of a stale cached tree (a
+  /// legacy name, kept because perfbench reads it).
+  obs::Counter* repair_fallbacks;
   obs::Counter* epsilon_collapses; ///< sched.mmp.epsilon_collapses
   obs::Counter* route_decisions;   ///< sched.mmp.route_decisions
   obs::Counter* relays_chosen;     ///< sched.mmp.relays_chosen
-  obs::Counter* reroutes;          ///< sched.mmp.reroutes (blacklist repairs)
+  obs::Counter* reroutes;          ///< sched.mmp.reroutes (masked builds)
   obs::Histogram* tree_build_us;   ///< sched.mmp.tree_build_us (wall clock)
 
   // Route-service instruments (readers touch these through their own
@@ -79,18 +80,18 @@ class Scheduler {
 
   [[nodiscard]] Decision route(std::size_t src, std::size_t dst) const;
 
-  /// Route with the given nodes blacklisted (failed depots). The exclusions
-  /// are applied as a bitmask overlay on the source's cached tree -- no
-  /// matrix copy -- and only the affected subtrees are re-settled, so a
-  /// recovery reroute costs O(n * affected) instead of O(n^2) + an n x n
-  /// allocation. The decision degrades gracefully to the direct path -- or
-  /// to an empty path when the destination itself is excluded/unreachable.
+  /// Route with the given nodes blacklisted (failed depots): one MMP build
+  /// from `src` with the exclusions as a bitmask overlay (MmpOptions::
+  /// excluded), so a recovery reroute costs O(n^2) with no n x n matrix
+  /// copy. The source's cached tree is neither read nor refreshed. The
+  /// decision degrades gracefully to the direct path -- or to an empty
+  /// path when the destination itself is unreachable.
   [[nodiscard]] Decision route_avoiding(
       std::size_t src, std::size_t dst,
       const std::vector<std::size_t>& excluded) const;
 
   /// The full MMP tree rooted at `src` (cached; built on first use and
-  /// incrementally repaired after topology updates).
+  /// rebuilt on the first use after the matrix changed).
   [[nodiscard]] const MmpTree& tree_from(std::size_t src) const;
 
   /// Destination -> next-hop table for hop-by-hop forwarding at `node`,
@@ -103,13 +104,8 @@ class Scheduler {
 
   // ---- in-place topology updates --------------------------------------------
 
-  /// Update one directed edge; cached trees repair lazily on next use.
+  /// Update one directed edge; cached trees rebuild lazily on next use.
   void set_cost(std::size_t i, std::size_t j, double cost);
-
-  /// Blacklist `node`: every edge to or from it becomes infinite. Cached
-  /// trees repair by re-settling just the node's subtrees (epsilon == 0)
-  /// or rebuild on next use (epsilon > 0; see repair_mmp_tree).
-  void exclude_node(std::size_t node);
 
   /// Diff-apply a freshly measured matrix of the same size: set_cost on
   /// every changed directed edge (the periodic rescheduler's drift path).
@@ -128,18 +124,17 @@ class Scheduler {
 
  private:
   struct SlotOutcome {
-    enum Kind : std::uint8_t { kUntouched, kBuilt, kRepaired, kRebuilt };
+    enum Kind : std::uint8_t { kUntouched, kBuilt, kRebuilt };
     Kind kind = kUntouched;
     std::uint64_t collapses = 0;  ///< tree's collapse count after the work
   };
 
   [[nodiscard]] MmpOptions mmp_options() const;
-  /// Build (first use) or repair (stale) slot `src`; a current slot is
-  /// left untouched. Touches no metrics.
+  /// Build slot `src` if it is missing or stale; a current slot is left
+  /// untouched. Touches no metrics.
   SlotOutcome refresh_slot(std::size_t src) const;
   /// Add one slot's outcome to the sched.mmp.* counters.
   static void account(SchedMetrics& m, const SlotOutcome& out);
-  void compact_change_log();
 
   CostMatrix matrix_;
   SchedulerOptions options_;

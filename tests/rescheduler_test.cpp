@@ -10,7 +10,7 @@ using namespace lsl::time_literals;
 
 const std::vector<std::string> kSites{"a.edu", "b.edu", "c.edu"};
 
-TEST(ReschedulerTest, RebuildsAtEveryInterval) {
+TEST(ReschedulerTest, TicksAtEveryInterval) {
   sim::Simulator sim;
   std::size_t callbacks = 0;
   Rescheduler rescheduler(
@@ -22,7 +22,7 @@ TEST(ReschedulerTest, RebuildsAtEveryInterval) {
   sim.run(SimTime::seconds(1501));
   // t=0, 300, 600, 900, 1200, 1500.
   EXPECT_EQ(callbacks, 6u);
-  EXPECT_EQ(rescheduler.rebuilds(), 6u);
+  EXPECT_EQ(rescheduler.ticks(), 6u);
   ASSERT_NE(rescheduler.current(), nullptr);
   EXPECT_EQ(rescheduler.current()->matrix().size(), kSites.size());
 }
