@@ -27,7 +27,6 @@
 
 #include "exp/harness.hpp"
 #include "obs/metrics.hpp"
-#include "util/log.hpp"
 
 namespace lsl::bench {
 
@@ -218,8 +217,6 @@ inline void banner(const char* artifact, const char* description) {
   std::printf("%s\n", artifact);
   std::printf("  %s\n", description);
   std::printf("==============================================================\n");
-  lsl::init_log_from_env();
-  obs::init_metrics_from_env();
   if (const char* v = std::getenv("LSL_BENCH_METRICS");
       v != nullptr && (std::string(v) == "off" || std::string(v) == "0")) {
     return;

@@ -4,13 +4,13 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 
 #include "fault/injector.hpp"
 #include "nws/rescheduler.hpp"
 #include "sched/route_advisor.hpp"
 #include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace lsl::exp {
 
@@ -88,6 +88,8 @@ bool apply_link_preset(const std::string& name, net::LinkConfig& config) {
 ParseResult parse_scenario(const std::string& text) {
   Scenario scenario;
   std::map<std::string, bool> host_names;
+  // Host pairs joined by a link declared so far, in both orders.
+  std::set<std::pair<std::string, std::string>> linked;
 
   std::istringstream input(text);
   std::string line;
@@ -167,6 +169,8 @@ ParseResult parse_scenario(const std::string& text) {
                   err_at(line_no, "unknown link attribute '" + key + "'")};
         }
       }
+      linked.emplace(link.a, link.b);
+      linked.emplace(link.b, link.a);
       scenario.links.push_back(std::move(link));
       continue;
     }
@@ -207,6 +211,10 @@ ParseResult parse_scenario(const std::string& text) {
                   err_at(line_no, "unknown host '" + host + "'")};
         }
       }
+      if (!linked.contains({tokens[1], tokens[2]})) {
+        return {std::nullopt, err_at(line_no, "no link between '" + tokens[1] +
+                                                  "' and '" + tokens[2] + "'")};
+      }
       scenario.pins.push_back(ScenarioPin{tokens[1], tokens[2]});
       continue;
     }
@@ -233,6 +241,10 @@ ParseResult parse_scenario(const std::string& text) {
             return {std::nullopt,
                     err_at(line_no, "unknown host '" + host + "'")};
           }
+        }
+        if (!linked.contains({f.a, f.b})) {
+          return {std::nullopt, err_at(line_no, "no link between '" + f.a +
+                                                    "' and '" + f.b + "'")};
         }
         attr_start = 4;
       } else if (kind == "depot-crash") {
@@ -586,14 +598,15 @@ std::vector<ScenarioOutcome> run_scenario(
     const Scenario& scenario, std::uint64_t seed,
     SimTime per_transfer_deadline, sim::KernelProfile* profile_out,
     std::size_t* leaked_connections_out,
+    std::vector<std::string>* leaked_out,
     const std::function<void(SimHarness&)>& on_harness) {
   SimHarness harness(seed,
                      scenario.fidelity.value_or(Fidelity::kPacket));
-  if (on_harness) {
-    on_harness(harness);
-  }
   if (profile_out != nullptr) {
     harness.simulator().set_profiling(true);
+  }
+  if (on_harness) {
+    on_harness(harness);
   }
   std::map<std::string, net::NodeId> ids;
   for (const auto& host : scenario.hosts) {
@@ -773,16 +786,19 @@ std::vector<ScenarioOutcome> run_scenario(
   if (rescheduler != nullptr) {
     rescheduler->stop();
   }
-  if (leaked_connections_out != nullptr) {
+  if (leaked_connections_out != nullptr || leaked_out != nullptr) {
     // TIME_WAIT linger is 500 ms; anything alive after this drain leaked.
     harness.simulator().run(harness.simulator().now() + SimTime::seconds(5));
-    *leaked_connections_out = harness.open_connection_count();
-    if (*leaked_connections_out > 0) {
+    if (leaked_connections_out != nullptr) {
+      *leaked_connections_out = harness.open_connection_count();
+    }
+    if (leaked_out != nullptr) {
       for (net::NodeId id = 0; id < harness.host_count(); ++id) {
-        harness.stack(id).for_each_connection([id](tcp::Connection& conn) {
-          LSL_WARN("leaked connection on node %u: %s", id,
-                   conn.debug_string().c_str());
-        });
+        harness.stack(id).for_each_connection(
+            [id, leaked_out](tcp::Connection& conn) {
+              leaked_out->push_back("node " + std::to_string(id) + ": " +
+                                    conn.debug_string());
+            });
       }
     }
   }

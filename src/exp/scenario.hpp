@@ -22,7 +22,8 @@
 //   # optional: depot tuning (applies to every host)
 //   depot buffers=8192 user=16384 max_sessions=64
 //
-//   # pin a pair's routing onto their direct link (both directions)
+//   # pin a pair's routing onto their direct link (both directions); pins
+//   # and link faults must name a pair joined by an earlier `link`
 //   pin ash.ucsb.edu bell.uiuc.edu
 //
 //   # transfers run in order; via is a comma-separated depot list
@@ -207,16 +208,19 @@ struct ScenarioOutcome {
 /// Build the harness, run every transfer in order, return the outcomes.
 /// When `profile_out` is non-null, kernel profiling (wall-clock sampling)
 /// is enabled for the run and the final profile is stored there. When
-/// `leaked_connections_out` is non-null, teardown is drained after the last
-/// transfer and the number of TCP connections still alive anywhere is
-/// stored there (nonzero = a leak). `on_harness` (when set) runs right
-/// after harness construction, before any hosts or transfers exist -- the
-/// model checker uses it to install its ChoiceHook on the simulator.
+/// `leaked_connections_out` or `leaked_out` is non-null, teardown is drained
+/// after the last transfer; the first receives the number of TCP
+/// connections still alive anywhere (nonzero = a leak), the second one
+/// "node <id>: <connection state>" line per such connection. `on_harness`
+/// (when set) runs right after harness construction and the profiling
+/// switch, before any hosts or transfers exist -- the model checker uses it
+/// to install its ChoiceHook on the simulator.
 [[nodiscard]] std::vector<ScenarioOutcome> run_scenario(
     const Scenario& scenario, std::uint64_t seed,
     SimTime per_transfer_deadline = SimTime::seconds(3600),
     sim::KernelProfile* profile_out = nullptr,
     std::size_t* leaked_connections_out = nullptr,
+    std::vector<std::string>* leaked_out = nullptr,
     const std::function<void(SimHarness&)>& on_harness = nullptr);
 
 }  // namespace lsl::exp

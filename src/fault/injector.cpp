@@ -1,16 +1,14 @@
 #include "fault/injector.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "obs/span.hpp"
-#include "util/log.hpp"
+#include "util/assert.hpp"
 
 namespace lsl::fault {
 
-FaultMetrics* FaultMetrics::get() {
-  if (!obs::metrics_enabled()) {
-    return nullptr;
-  }
+FaultMetrics& FaultMetrics::get() {
   // Thread-local, revalidated by registry uid (parallel trials swap the
   // thread's registry via obs::ScopedRegistry).
   thread_local FaultMetrics metrics;
@@ -27,11 +25,11 @@ FaultMetrics* FaultMetrics::get() {
     metrics.nws_blackouts = &reg.counter("fault.nws_blackouts");
     metrics.active = &reg.gauge("fault.active");
   }
-  return &metrics;
+  return metrics;
 }
 
 FaultInjector::FaultInjector(sim::Simulator& sim, net::Topology& topology)
-    : sim_(sim), topo_(topology), metrics_(FaultMetrics::get()) {}
+    : sim_(sim), topo_(topology) {}
 
 void FaultInjector::schedule(const FaultPlan& plan) {
   for (const FaultSpec& fault : plan.sorted()) {
@@ -124,13 +122,18 @@ void FaultInjector::heal(const FaultSpec& fault) {
   note(fault, /*applied=*/false);
 }
 
+std::array<net::Link*, 2> FaultInjector::duplex(net::NodeId a,
+                                                net::NodeId b) {
+  const std::array<net::Link*, 2> links{topo_.link_between(a, b),
+                                        topo_.link_between(b, a)};
+  LSL_ASSERT_MSG(links[0] != nullptr && links[1] != nullptr,
+                 "link fault on a pair with no duplex link");
+  return links;
+}
+
 void FaultInjector::set_duplex_loss(net::NodeId a, net::NodeId b,
                                     double loss) {
-  for (net::Link* link : {topo_.link_between(a, b), topo_.link_between(b, a)}) {
-    if (link == nullptr) {
-      LSL_WARN("fault: no link between %u and %u", a, b);
-      continue;
-    }
+  for (net::Link* link : duplex(a, b)) {
     saved_loss_.try_emplace(link, link->config().loss_rate);
     link->set_loss_rate(loss);
   }
@@ -138,20 +141,14 @@ void FaultInjector::set_duplex_loss(net::NodeId a, net::NodeId b,
 
 void FaultInjector::scale_duplex_rate(net::NodeId a, net::NodeId b,
                                       double factor) {
-  for (net::Link* link : {topo_.link_between(a, b), topo_.link_between(b, a)}) {
-    if (link == nullptr) {
-      continue;  // set_duplex_loss already warned for this pair
-    }
+  for (net::Link* link : duplex(a, b)) {
     saved_rate_.try_emplace(link, link->config().rate);
     link->set_rate(Bandwidth{link->config().rate.bits_per_second() * factor});
   }
 }
 
 void FaultInjector::restore_duplex_rate(net::NodeId a, net::NodeId b) {
-  for (net::Link* link : {topo_.link_between(a, b), topo_.link_between(b, a)}) {
-    if (link == nullptr) {
-      continue;
-    }
+  for (net::Link* link : duplex(a, b)) {
     if (const auto it = saved_rate_.find(link); it != saved_rate_.end()) {
       link->set_rate(it->second);
       saved_rate_.erase(it);
@@ -160,10 +157,7 @@ void FaultInjector::restore_duplex_rate(net::NodeId a, net::NodeId b) {
 }
 
 void FaultInjector::restore_duplex_loss(net::NodeId a, net::NodeId b) {
-  for (net::Link* link : {topo_.link_between(a, b), topo_.link_between(b, a)}) {
-    if (link == nullptr) {
-      continue;
-    }
+  for (net::Link* link : duplex(a, b)) {
     if (const auto it = saved_loss_.find(link); it != saved_loss_.end()) {
       link->set_loss_rate(it->second);
       saved_loss_.erase(it);
@@ -172,29 +166,25 @@ void FaultInjector::restore_duplex_loss(net::NodeId a, net::NodeId b) {
 }
 
 void FaultInjector::note(const FaultSpec& fault, bool applied) {
-  LSL_DEBUG("fault: %s %s at t=%s", applied ? "apply" : "heal",
-            to_string(fault.kind), sim_.now().str().c_str());
-  if (metrics_ != nullptr) {
-    (applied ? metrics_->injected : metrics_->healed)->inc();
-    metrics_->active->set(static_cast<double>(active_));
-    if (applied) {
-      switch (fault.kind) {
-        case FaultKind::kLinkDown:
-          metrics_->link_down->inc();
-          break;
-        case FaultKind::kLinkBrownout:
-          metrics_->link_brownouts->inc();
-          break;
-        case FaultKind::kDepotCrash:
-          metrics_->depot_crashes->inc();
-          break;
-        case FaultKind::kNwsBlackout:
-          metrics_->nws_blackouts->inc();
-          break;
-      }
-    } else if (fault.kind == FaultKind::kDepotCrash) {
-      metrics_->depot_restarts->inc();
+  (applied ? metrics_.injected : metrics_.healed)->inc();
+  metrics_.active->set(static_cast<double>(active_));
+  if (applied) {
+    switch (fault.kind) {
+      case FaultKind::kLinkDown:
+        metrics_.link_down->inc();
+        break;
+      case FaultKind::kLinkBrownout:
+        metrics_.link_brownouts->inc();
+        break;
+      case FaultKind::kDepotCrash:
+        metrics_.depot_crashes->inc();
+        break;
+      case FaultKind::kNwsBlackout:
+        metrics_.nws_blackouts->inc();
+        break;
     }
+  } else if (fault.kind == FaultKind::kDepotCrash) {
+    metrics_.depot_restarts->inc();
   }
   if (obs::SpanRecorder* sr = obs::spans()) {
     const char* kind_name = to_string(fault.kind);

@@ -8,6 +8,7 @@
 // emitted to the obs trace as an instant in the "fault" category.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -32,8 +33,7 @@ struct FaultMetrics {
   obs::Counter* nws_blackouts;   ///< fault.nws_blackouts
   obs::Gauge* active;            ///< fault.active (currently live faults)
 
-  /// nullptr while obs::metrics_enabled() is false.
-  static FaultMetrics* get();
+  static FaultMetrics& get();
 };
 
 struct InjectorStats {
@@ -76,6 +76,9 @@ class FaultInjector {
  private:
   void apply(const FaultSpec& fault);
   void heal(const FaultSpec& fault);
+  /// Both directed links of the pair; parse_scenario guarantees a link
+  /// fault names linked hosts, so a missing one is a programming error.
+  std::array<net::Link*, 2> duplex(net::NodeId a, net::NodeId b);
   void set_duplex_loss(net::NodeId a, net::NodeId b, double loss);
   void restore_duplex_loss(net::NodeId a, net::NodeId b);
   void scale_duplex_rate(net::NodeId a, net::NodeId b, double factor);
@@ -98,7 +101,7 @@ class FaultInjector {
   std::map<FaultKey, std::uint64_t> fault_spans_;
   int active_ = 0;
   InjectorStats stats_;
-  FaultMetrics* metrics_;
+  FaultMetrics& metrics_ = FaultMetrics::get();
 };
 
 }  // namespace lsl::fault

@@ -7,14 +7,10 @@
 #include "mc/hooks.hpp"
 #include "obs/span.hpp"
 #include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace lsl::session {
 
-DepotMetrics* DepotMetrics::get() {
-  if (!obs::metrics_enabled()) {
-    return nullptr;
-  }
+DepotMetrics& DepotMetrics::get() {
   // Thread-local, revalidated by registry uid (parallel trials swap the
   // thread's registry via obs::ScopedRegistry).
   thread_local DepotMetrics metrics;
@@ -38,7 +34,7 @@ DepotMetrics* DepotMetrics::get() {
     metrics.relay_session_mib = &reg.histogram(
         "lsl.depot.relay_session_mib", obs::exponential_buckets(1.0, 2.0, 11));
   }
-  return &metrics;
+  return metrics;
 }
 
 // ---------------------------------------------------------------------------
@@ -55,7 +51,7 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
     up_->on_readable = [this] { on_upstream_readable(); };
     up_->on_eof = [this] { on_upstream_eof(); };
     up_->on_closed = [this] { on_upstream_closed(); };
-    up_->on_error = [this](tcp::ConnectionError e) { on_upstream_error(e); };
+    up_->on_error = [this](tcp::ConnectionError) { on_upstream_error(); };
     // Data may already be buffered by the time the relay is attached.
     on_upstream_readable();
   }
@@ -88,6 +84,7 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
     kDelivering,  ///< this node is the destination
     kStoring,     ///< async session parked here
     kServingFetch,
+    kFetchMiss,      ///< fetch for a session this depot does not hold
     kServingOffset,  ///< answering a resume-offset probe
     kMulticast,
     kDone,
@@ -198,9 +195,7 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
         // committed offset, so account delivery on top of that base.
         resume_base_ = hdr_.resume_offset;
         ++depot_.stats_.sessions_resumed;
-        if (depot_.metrics_ != nullptr) {
-          depot_.metrics_->sessions_resumed->inc();
-        }
+        depot_.metrics_.sessions_resumed->inc();
       }
       pump();
       return;
@@ -244,9 +239,7 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
     user_buffer_granted_ = depot_.reserve_user_memory();
     if (user_buffer_granted_ == 0) {
       ++depot_.stats_.sessions_refused;
-      if (depot_.metrics_ != nullptr) {
-        depot_.metrics_->sessions_refused->inc();
-      }
+      depot_.metrics_.sessions_refused->inc();
       fail();
       return false;
     }
@@ -345,9 +338,7 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
       }
       buf_base_ += n;
       depot_.stats_.bytes_relayed += n;
-      if (depot_.metrics_ != nullptr) {
-        depot_.metrics_->bytes_relayed->inc(n);
-      }
+      depot_.metrics_.bytes_relayed->inc(n);
     }
     account_buffer();
   }
@@ -359,10 +350,7 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
   void account_buffer() {
     LSL_PROTO_CHECK(buf_base_ <= buf_high_,
                     "relay buffer window inverted (base > high)");
-    if (depot_.metrics_ != nullptr) {
-      depot_.metrics_->buffer_occupancy->set(
-          static_cast<double>(user_used()));
-    }
+    depot_.metrics_.buffer_occupancy->set(static_cast<double>(user_used()));
     const bool full =
         user_buffer_granted_ > 0 && user_used() >= user_buffer_granted_;
     const SimTime now = depot_.stack_.simulator().now();
@@ -371,10 +359,8 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
       stall_since_ = now;
     } else if (!full && stalled_) {
       stalled_ = false;
-      if (depot_.metrics_ != nullptr) {
-        depot_.metrics_->stall_us->inc(
-            static_cast<std::uint64_t>((now - stall_since_).ns() / 1000));
-      }
+      depot_.metrics_.stall_us->inc(
+          static_cast<std::uint64_t>((now - stall_since_).ns() / 1000));
     }
   }
 
@@ -393,9 +379,7 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
           }
           child.sent += n;
           depot_.stats_.bytes_relayed += n;
-          if (depot_.metrics_ != nullptr) {
-            depot_.metrics_->bytes_relayed->inc(n);
-          }
+          depot_.metrics_.bytes_relayed->inc(n);
         }
       }
       min_sent = std::min(min_sent, child.sent);
@@ -441,9 +425,7 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
     }
     const std::uint64_t fresh = hi - lo;
     depot_.stats_.bytes_delivered += fresh;
-    if (depot_.metrics_ != nullptr) {
-      depot_.metrics_->bytes_delivered->inc(fresh);
-    }
+    depot_.metrics_.bytes_delivered->inc(fresh);
     if (mc::ProtocolObserver* po = mc::observer();
         po != nullptr && ledger_tracked_) {
       po->on_deliver(SessionIdHash{}(hdr_.session_id), lo, hi);
@@ -455,8 +437,7 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
   void serve_fetch() {
     const auto it = depot_.store_.find(hdr_.session_id);
     if (it == depot_.store_.end()) {
-      LSL_WARN("depot %u: fetch for unknown session %s", depot_.node_id(),
-               hdr_.session_id.str().c_str());
+      phase_ = Phase::kFetchMiss;
       fail();
       return;
     }
@@ -481,9 +462,7 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
       }
       fetch_remaining_ -= n;
       depot_.stats_.bytes_relayed += n;
-      if (depot_.metrics_ != nullptr) {
-        depot_.metrics_->bytes_relayed->inc(n);
-      }
+      depot_.metrics_.bytes_relayed->inc(n);
     }
     up_->close();
     done();
@@ -497,9 +476,7 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
   /// (the connection drains independently of relay callbacks).
   void serve_offset_query() {
     ++depot_.stats_.offset_queries;
-    if (depot_.metrics_ != nullptr) {
-      depot_.metrics_->offset_queries->inc();
-    }
+    depot_.metrics_.offset_queries->inc();
     SessionHeader response;
     response.type = SessionType::kOffsetQuery;
     response.session_id = hdr_.session_id;
@@ -521,12 +498,10 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
     pump();
   }
 
-  void on_upstream_error(tcp::ConnectionError e) {
+  void on_upstream_error() {
     if (phase_ == Phase::kDone) {
       return;
     }
-    LSL_DEBUG("depot %u: upstream %s mid-session", depot_.node_id(),
-              tcp::to_string(e));
     note_interrupted();
     fail();
   }
@@ -548,9 +523,7 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
 
   void note_interrupted() {
     ++depot_.stats_.sessions_interrupted;
-    if (depot_.metrics_ != nullptr) {
-      depot_.metrics_->sessions_interrupted->inc();
-    }
+    depot_.metrics_.sessions_interrupted->inc();
   }
 
   void on_downstream_closed() {
@@ -573,9 +546,7 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
           down_->close();
           up_->close();  // our send direction was never used; finish both
           ++depot_.stats_.sessions_relayed;
-          if (depot_.metrics_ != nullptr) {
-            depot_.metrics_->sessions_relayed->inc();
-          }
+          depot_.metrics_.sessions_relayed->inc();
           done();
         }
         break;
@@ -615,9 +586,7 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
           }
           up_->close();
           ++depot_.stats_.sessions_relayed;
-          if (depot_.metrics_ != nullptr) {
-            depot_.metrics_->sessions_relayed->inc();
-          }
+          depot_.metrics_.sessions_relayed->inc();
           done();
         }
         break;
@@ -661,14 +630,11 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
     const SimTime now = depot_.stack_.simulator().now();
     if (stalled_) {
       stalled_ = false;
-      if (depot_.metrics_ != nullptr) {
-        depot_.metrics_->stall_us->inc(
-            static_cast<std::uint64_t>((now - stall_since_).ns() / 1000));
-      }
+      depot_.metrics_.stall_us->inc(
+          static_cast<std::uint64_t>((now - stall_since_).ns() / 1000));
     }
-    if (depot_.metrics_ != nullptr &&
-        (phase_ == Phase::kRelaying || phase_ == Phase::kMulticast)) {
-      depot_.metrics_->relay_session_mib->observe(
+    if (phase_ == Phase::kRelaying || phase_ == Phase::kMulticast) {
+      depot_.metrics_.relay_session_mib->observe(
           static_cast<double>(payload_seen_) / static_cast<double>(kMiB));
     }
     if (obs::SpanRecorder* sr = obs::spans()) {
@@ -688,6 +654,9 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
           break;
         case Phase::kServingFetch:
           what = "fetch";
+          break;
+        case Phase::kFetchMiss:
+          what = "fetch_miss";
           break;
         case Phase::kServingOffset:
           what = "offset_query";
@@ -747,7 +716,7 @@ class Depot::Relay : public std::enable_shared_from_this<Depot::Relay> {
 // Depot
 
 Depot::Depot(tcp::TcpStack& stack, DepotConfig config)
-    : stack_(stack), config_(config), metrics_(DepotMetrics::get()) {
+    : stack_(stack), config_(config) {
   stack_.listen(
       kLslPort, [this](tcp::Connection::Ptr conn) { on_accept(std::move(conn)); },
       config_.tcp);
@@ -802,16 +771,12 @@ Depot::~Depot() {
 void Depot::on_accept(tcp::Connection::Ptr conn) {
   if (active_ >= config_.max_sessions) {
     ++stats_.sessions_refused;
-    if (metrics_ != nullptr) {
-      metrics_->sessions_refused->inc();
-    }
+    metrics_.sessions_refused->inc();
     conn->abort();
     return;
   }
   ++stats_.sessions_accepted;
-  if (metrics_ != nullptr) {
-    metrics_->sessions_accepted->inc();
-  }
+  metrics_.sessions_accepted->inc();
   ++active_;
   auto relay = std::make_shared<Relay>(*this, std::move(conn));
   relays_.push_back(relay);
@@ -863,9 +828,7 @@ void Depot::session_delivered(const SessionHeader& header,
   }
 
   ++stats_.sessions_delivered;
-  if (metrics_ != nullptr) {
-    metrics_->sessions_delivered->inc();
-  }
+  metrics_.sessions_delivered->inc();
   if (on_session_complete) {
     on_session_complete(record);
   }

@@ -49,8 +49,7 @@ struct DepotMetrics {
   obs::Gauge* buffer_occupancy;     ///< lsl.depot.buffer_occupancy (bytes)
   obs::Histogram* relay_session_mib;///< lsl.depot.relay_session_mib
 
-  /// nullptr while obs::metrics_enabled() is false.
-  static DepotMetrics* get();
+  static DepotMetrics& get();
 };
 
 struct DepotConfig {
@@ -191,7 +190,7 @@ class Depot {
   std::unordered_map<SessionId, std::uint64_t, SessionIdHash> progress_;
   std::deque<SessionId> progress_order_;
   bool running_ = true;
-  DepotMetrics* metrics_ = nullptr;  ///< shared instruments (may be null)
+  DepotMetrics& metrics_ = DepotMetrics::get();  ///< shared instruments
 };
 
 }  // namespace lsl::session

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace lsl::session {
 
@@ -130,8 +129,7 @@ AsyncFetcher::Ptr AsyncFetcher::start(tcp::TcpStack& stack, net::NodeId depot,
   };
   // Abnormal teardown (depot reset, connect timeout) is reported directly;
   // on_closed additionally catches local aborts on malformed responses.
-  conn->on_error = [fetcher](tcp::ConnectionError e) {
-    LSL_DEBUG("fetch: connection %s", tcp::to_string(e));
+  conn->on_error = [fetcher](tcp::ConnectionError) {
     if (fetcher->on_error) {
       fetcher->on_error();
       fetcher->on_error = nullptr;

@@ -7,7 +7,6 @@
 #include "mc/hooks.hpp"
 #include "obs/span.hpp"
 #include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace lsl::session {
 
@@ -24,10 +23,7 @@ std::uint64_t id_salt(const SessionId& id) {
 
 }  // namespace
 
-RecoveryMetrics* RecoveryMetrics::get() {
-  if (!obs::metrics_enabled()) {
-    return nullptr;
-  }
+RecoveryMetrics& RecoveryMetrics::get() {
   // Thread-local, revalidated by registry uid (parallel trials swap the
   // thread's registry via obs::ScopedRegistry).
   thread_local RecoveryMetrics metrics;
@@ -48,7 +44,7 @@ RecoveryMetrics* RecoveryMetrics::get() {
     metrics.planned_handovers =
         &reg.counter("lsl.recovery.planned_handovers");
   }
-  return &metrics;
+  return metrics;
 }
 
 ReliableTransfer::ReliableTransfer(tcp::TcpStack& stack, TransferSpec spec,
@@ -69,8 +65,7 @@ ReliableTransfer::ReliableTransfer(tcp::TcpStack& stack, TransferSpec spec,
             end_backoff_span();
             start_probe(ProbePurpose::kRelaunch);
           },
-          "lsl.recovery"),
-      metrics_(RecoveryMetrics::get()) {}
+          "lsl.recovery") {}
 
 ReliableTransfer::Ptr ReliableTransfer::start(tcp::TcpStack& stack,
                                               const TransferSpec& spec,
@@ -162,11 +157,7 @@ void ReliableTransfer::on_failure(const char* reason) {
       (state_ != State::kRunning && state_ != State::kProbing)) {
     return;
   }
-  LSL_DEBUG("recovery %s: failure (%s), attempt %d", id_.str().c_str(),
-            reason, retries_);
-  if (metrics_ != nullptr) {
-    metrics_->failures_detected->inc();
-  }
+  metrics_.failures_detected->inc();
   if (obs::SpanRecorder* sr = obs::spans()) {
     // Stall-triggered failures cover a retroactive dead-air window: the
     // watchdog only fires after stall_timeout without progress.
@@ -192,9 +183,7 @@ void ReliableTransfer::on_failure(const char* reason) {
     if (std::find(blacklist_.begin(), blacklist_.end(), hop) ==
         blacklist_.end()) {
       blacklist_.push_back(hop);
-      if (metrics_ != nullptr) {
-        metrics_->depots_blacklisted->inc();
-      }
+      metrics_.depots_blacklisted->inc();
     }
   }
   end_attempt_span(reason);
@@ -203,9 +192,7 @@ void ReliableTransfer::on_failure(const char* reason) {
     return;
   }
   ++retries_;
-  if (metrics_ != nullptr) {
-    metrics_->retries->inc();
-  }
+  metrics_.retries->inc();
   state_ = State::kBackoff;
   if (obs::SpanRecorder* sr = obs::spans()) {
     backoff_span_ =
@@ -269,9 +256,7 @@ void ReliableTransfer::start_probe(ProbePurpose purpose) {
   probe_purpose_ = purpose;
   probe_buf_.clear();
   probe_header_.reset();
-  if (metrics_ != nullptr) {
-    metrics_->offset_probes->inc();
-  }
+  metrics_.offset_probes->inc();
   if (obs::SpanRecorder* sr = obs::spans()) {
     const char* why = purpose == ProbePurpose::kWatchdog   ? "watchdog"
                       : purpose == ProbePurpose::kRelaunch ? "relaunch"
@@ -374,14 +359,10 @@ void ReliableTransfer::probe_finish(std::optional<std::uint64_t> offset) {
     // the advisor already chose the path, the provider must not override it.
     current_via_ = handover_via_;
     handover_via_.clear();
-    if (metrics_ != nullptr && committed_ > saved_accounted_) {
-      metrics_->resumed_bytes_saved->inc(committed_ - saved_accounted_);
+    if (committed_ > saved_accounted_) {
+      metrics_.resumed_bytes_saved->inc(committed_ - saved_accounted_);
       saved_accounted_ = committed_;
     }
-    LSL_DEBUG("recovery %s: handover %llu from offset %llu via %zu depots",
-              id_.str().c_str(), static_cast<unsigned long long>(handovers_),
-              static_cast<unsigned long long>(committed_),
-              current_via_.size());
     if (obs::SpanRecorder* sr = obs::spans()) {
       sr->instant(sim_.now(), obs::SpanKind::kResume, span_session(),
                   handover_span_, last_attempt_span_, "handover",
@@ -412,8 +393,8 @@ void ReliableTransfer::relaunch_with(std::uint64_t sink_committed) {
   LSL_PROTO_CHECK(std::min(sink_committed, total_bytes_) >= committed_,
                   "resume offset regressed below committed");
   committed_ = std::min(sink_committed, total_bytes_);
-  if (metrics_ != nullptr && committed_ > saved_accounted_) {
-    metrics_->resumed_bytes_saved->inc(committed_ - saved_accounted_);
+  if (committed_ > saved_accounted_) {
+    metrics_.resumed_bytes_saved->inc(committed_ - saved_accounted_);
     saved_accounted_ = committed_;
   }
   if (provider_) {
@@ -439,9 +420,6 @@ void ReliableTransfer::relaunch_with(std::uint64_t sink_committed) {
                 transfer_span_, last_attempt_span_, "retry",
                 static_cast<double>(committed_));
   }
-  LSL_DEBUG("recovery %s: retry %d from offset %llu via %zu depots",
-            id_.str().c_str(), retries_,
-            static_cast<unsigned long long>(committed_), current_via_.size());
   launch_attempt();
 }
 
@@ -456,9 +434,7 @@ bool ReliableTransfer::reroute_to(const std::vector<net::NodeId>& new_via) {
     }
   }
   ++handovers_;
-  if (metrics_ != nullptr) {
-    metrics_->planned_handovers->inc();
-  }
+  metrics_.planned_handovers->inc();
   // Drain: stop feeding the old path and ask the sink how far it got. The
   // relaunch in probe_finish resumes from that committed offset, so bytes
   // in flight past it are the only work resent.
@@ -500,9 +476,7 @@ void ReliableTransfer::notify_delivered() {
     probe_conn_.reset();
   }
   if (retries_ > 0) {
-    if (metrics_ != nullptr) {
-      metrics_->sessions_recovered->inc();
-    }
+    metrics_.sessions_recovered->inc();
   }
   end_probe_span("abandoned");
   end_backoff_span();
@@ -521,9 +495,7 @@ void ReliableTransfer::finish_failed() {
   backoff_timer_.cancel();
   detach_source();
   source_.reset();
-  if (metrics_ != nullptr) {
-    metrics_->sessions_failed->inc();
-  }
+  metrics_.sessions_failed->inc();
   end_probe_span("aborted");
   end_backoff_span();
   end_handover_span("aborted");

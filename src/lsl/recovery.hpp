@@ -62,8 +62,7 @@ struct RecoveryMetrics {
   obs::Counter* resumed_bytes_saved; ///< lsl.recovery.resumed_bytes_saved
   obs::Counter* planned_handovers;   ///< lsl.recovery.planned_handovers
 
-  /// nullptr while obs::metrics_enabled() is false.
-  static RecoveryMetrics* get();
+  static RecoveryMetrics& get();
 };
 
 /// Picks the relay path for a retry given the depots blacklisted so far.
@@ -183,7 +182,7 @@ class ReliableTransfer : public std::enable_shared_from_this<ReliableTransfer> {
   std::vector<std::byte> probe_buf_;
   std::optional<SessionHeader> probe_header_;
   ProbePurpose probe_purpose_ = ProbePurpose::kWatchdog;
-  RecoveryMetrics* metrics_ = nullptr;
+  RecoveryMetrics& metrics_ = RecoveryMetrics::get();
   // Open causal spans (0 = none). last_attempt_span_ threads follows-from
   // links across retries and handovers (the failover chain).
   std::uint64_t transfer_span_ = 0;

@@ -160,7 +160,7 @@ ScenarioFn scenario_fn(const exp::Scenario& scenario, std::uint64_t seed,
                        SimTime per_transfer_deadline) {
   return [&scenario, seed, per_transfer_deadline](RunContext& ctx) {
     const auto outcomes = exp::run_scenario(
-        scenario, seed, per_transfer_deadline, nullptr, nullptr,
+        scenario, seed, per_transfer_deadline, nullptr, nullptr, nullptr,
         [&ctx](exp::SimHarness& h) { ctx.attach(h.simulator()); });
     for (const exp::ScenarioOutcome& o : outcomes) {
       ctx.invariants().note_outcome(o.outcome.session_hash, o.transfer.bytes,

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "flow/fluid.hpp"
-#include "util/log.hpp"
 
 namespace lsl::net {
 
@@ -112,9 +111,6 @@ void Link::enqueue(Packet&& packet) {
   const std::uint32_t size = packet.wire_bytes();
   if (queued_bytes_ + size > config_.queue_capacity_bytes) {
     ++stats_.packets_dropped_queue;
-    LSL_TRACE("link: queue drop uid=%llu seq=%llu",
-              static_cast<unsigned long long>(packet.uid),
-              static_cast<unsigned long long>(packet.tcp.seq));
     return;
   }
   stats_.queue_bytes_observed += queued_bytes_;  // depth found on arrival
@@ -231,11 +227,6 @@ void Link::retire() {
         "link RNG replay diverged from the recorded draw");
     queued_bytes_ -= entry.packet.wire_bytes();
     count_departure(entry, stats_);
-    if (entry.fate.lost) {
-      LSL_TRACE("link: loss drop uid=%llu seq=%llu",
-                static_cast<unsigned long long>(entry.packet.uid),
-                static_cast<unsigned long long>(entry.packet.tcp.seq));
-    }
   }
   // Departed entries are finished once lost or delivered.
   while (serializing_ > 0 &&

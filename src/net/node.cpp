@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace lsl::net {
 
@@ -27,8 +26,7 @@ void Node::handle_packet(Packet&& packet) {
   }
   Link* out = route_for(packet.dst);
   if (out == nullptr) {
-    LSL_WARN("node %s: no route to node %u, dropping", name_.c_str(),
-             packet.dst);
+    ++packets_unroutable_;
     return;
   }
   ++packets_forwarded_;

@@ -48,6 +48,10 @@ class Node {
   [[nodiscard]] std::uint64_t packets_delivered() const {
     return packets_delivered_;
   }
+  /// Packets dropped here because no route leads to their destination.
+  [[nodiscard]] std::uint64_t packets_unroutable() const {
+    return packets_unroutable_;
+  }
 
  private:
   NodeId id_;
@@ -57,6 +61,7 @@ class Node {
   LocalDeliverFn local_;
   std::uint64_t packets_forwarded_ = 0;
   std::uint64_t packets_delivered_ = 0;
+  std::uint64_t packets_unroutable_ = 0;
 };
 
 }  // namespace lsl::net

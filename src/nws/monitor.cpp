@@ -6,10 +6,7 @@
 
 namespace lsl::nws {
 
-NwsMetrics* NwsMetrics::get() {
-  if (!obs::metrics_enabled()) {
-    return nullptr;
-  }
+NwsMetrics& NwsMetrics::get() {
   // Thread-local, revalidated by registry uid (parallel trials swap the
   // thread's registry via obs::ScopedRegistry).
   thread_local NwsMetrics metrics;
@@ -24,7 +21,7 @@ NwsMetrics* NwsMetrics::get() {
         &reg.histogram("nws.monitor.forecast_abs_rel_error",
                        obs::linear_buckets(0.05, 0.05, 20));
   }
-  return &metrics;
+  return metrics;
 }
 
 double NoiseModel::sample(double truth, Rng& rng) const {
@@ -39,8 +36,7 @@ PerformanceMonitor::PerformanceMonitor(std::vector<std::string> sites,
                                        NoiseModel noise, std::uint64_t seed)
     : sites_(std::move(sites)),
       noise_(noise),
-      rng_(seed),
-      metrics_(NwsMetrics::get()) {
+      rng_(seed) {
   LSL_ASSERT(!sites_.empty());
   site_index_of_host_.resize(sites_.size());
   for (std::size_t host = 0; host < sites_.size(); ++host) {
@@ -61,15 +57,11 @@ PerformanceMonitor::PerformanceMonitor(std::vector<std::string> sites,
 
 void PerformanceMonitor::observe_epoch(const TruthFn& truth) {
   ++epochs_;
-  if (metrics_ != nullptr) {
-    metrics_->epochs->inc();
-  }
+  metrics_.epochs->inc();
   if (blackout_) {
     // Measurement infrastructure fault: no probes run; the forecasters keep
     // serving their last predictions, which drift from the ground truth.
-    if (metrics_ != nullptr) {
-      metrics_->blackout_epochs->inc();
-    }
+    metrics_.blackout_epochs->inc();
     return;
   }
   const std::size_t s = site_names_.size();
@@ -86,15 +78,13 @@ void PerformanceMonitor::observe_epoch(const TruthFn& truth) {
       if (forecaster == nullptr) {
         forecaster = std::make_unique<AdaptiveForecaster>();
       }
-      if (metrics_ != nullptr) {
-        metrics_->observations->inc();
-        // Forecast error against the reading the forecaster is about to see:
-        // how far off would the scheduler's input have been this epoch?
-        if (forecaster->ready() && measured > 0.0) {
-          const double predicted = forecaster->predict();
-          metrics_->forecast_abs_rel_error->observe(
-              std::abs(measured - predicted) / measured);
-        }
+      metrics_.observations->inc();
+      // Forecast error against the reading the forecaster is about to see:
+      // how far off would the scheduler's input have been this epoch?
+      if (forecaster->ready() && measured > 0.0) {
+        const double predicted = forecaster->predict();
+        metrics_.forecast_abs_rel_error->observe(
+            std::abs(measured - predicted) / measured);
       }
       forecaster->observe(measured);
     }

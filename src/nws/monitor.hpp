@@ -30,8 +30,7 @@ struct NwsMetrics {
   /// for every measurement taken after the pair's forecaster warmed up.
   obs::Histogram* forecast_abs_rel_error;
 
-  /// nullptr while obs::metrics_enabled() is false.
-  static NwsMetrics* get();
+  static NwsMetrics& get();
 };
 
 struct NoiseModel {
@@ -89,7 +88,7 @@ class PerformanceMonitor {
   std::vector<std::size_t> site_representative_;
   std::size_t epochs_ = 0;
   bool blackout_ = false;
-  NwsMetrics* metrics_ = nullptr;  ///< shared instruments (may be null)
+  NwsMetrics& metrics_ = NwsMetrics::get();  ///< shared instruments
 };
 
 }  // namespace lsl::nws

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 
@@ -12,8 +11,6 @@
 namespace lsl::obs {
 
 namespace {
-
-bool g_metrics_enabled = true;
 
 /// Doubles render shortest-round-trip; integers without a trailing ".0"
 /// would also be valid JSON but %.17g keeps both cases readable.
@@ -461,22 +458,5 @@ ScopedRegistry::ScopedRegistry(Registry& registry)
 }
 
 ScopedRegistry::~ScopedRegistry() { t_scoped_registry = previous_; }
-
-// ---------------------------------------------------------------------------
-// Enable switch
-
-bool metrics_enabled() { return g_metrics_enabled; }
-
-void set_metrics_enabled(bool enabled) { g_metrics_enabled = enabled; }
-
-void init_metrics_from_env() {
-  if (const char* v = std::getenv("LSL_METRICS")) {
-    if (std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0) {
-      g_metrics_enabled = false;
-    } else {
-      g_metrics_enabled = true;
-    }
-  }
-}
 
 }  // namespace lsl::obs

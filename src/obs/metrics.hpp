@@ -196,12 +196,4 @@ class ScopedRegistry {
   Registry* previous_;
 };
 
-/// Process-wide enable switch for the built-in instrumentation bundles
-/// (tcp/lsl/sched/nws accessors return nullptr while disabled). Explicit
-/// Registry use is unaffected.
-[[nodiscard]] bool metrics_enabled();
-void set_metrics_enabled(bool enabled);
-/// LSL_METRICS=off|0 disables the built-in instrumentation.
-void init_metrics_from_env();
-
 }  // namespace lsl::obs

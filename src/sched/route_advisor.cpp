@@ -8,10 +8,7 @@
 
 namespace lsl::sched {
 
-AdvisorMetrics* AdvisorMetrics::get() {
-  if (!obs::metrics_enabled()) {
-    return nullptr;
-  }
+AdvisorMetrics& AdvisorMetrics::get() {
   // Thread-local, revalidated by registry uid (parallel trials swap the
   // thread's registry via obs::ScopedRegistry).
   thread_local AdvisorMetrics metrics;
@@ -25,7 +22,7 @@ AdvisorMetrics* AdvisorMetrics::get() {
     metrics.held_hysteresis = &reg.counter("sched.advisor.held_hysteresis");
     metrics.held_dwell = &reg.counter("sched.advisor.held_dwell");
   }
-  return &metrics;
+  return metrics;
 }
 
 double predicted_remaining_seconds(double minimax_cost,
@@ -44,10 +41,8 @@ RouteAdvisor::RouteAdvisor(RouteAdvisorConfig config) : config_(config) {}
 RouteAdvice RouteAdvisor::evaluate(const Scheduler& scheduler,
                                    const SessionView& view, SimTime now,
                                    SimTime routed_at) const {
-  AdvisorMetrics* metrics = AdvisorMetrics::get();
-  if (metrics != nullptr) {
-    metrics->evaluations->inc();
-  }
+  AdvisorMetrics& metrics = AdvisorMetrics::get();
+  metrics.evaluations->inc();
   RouteAdvice advice;
 
   std::vector<std::size_t> current_path;
@@ -70,17 +65,13 @@ RouteAdvice RouteAdvisor::evaluate(const Scheduler& scheduler,
   if (best.path.empty()) {
     // Nothing reachable outside the blacklist: the incumbent stands.
     advice.candidate_remaining_s = advice.current_remaining_s;
-    if (metrics != nullptr) {
-      metrics->kept_current->inc();
-    }
+    metrics.kept_current->inc();
     return advice;
   }
   std::vector<net::NodeId> best_via = best.via();
   if (best_via == view.current_via) {
     advice.candidate_remaining_s = advice.current_remaining_s;
-    if (metrics != nullptr) {
-      metrics->kept_current->inc();
-    }
+    metrics.kept_current->inc();
     return advice;
   }
   advice.new_via = std::move(best_via);
@@ -91,16 +82,12 @@ RouteAdvice RouteAdvisor::evaluate(const Scheduler& scheduler,
   if (!(advice.candidate_remaining_s <
         (1.0 - config_.hysteresis) * advice.current_remaining_s)) {
     advice.action = RouteAdvice::Action::kHoldHysteresis;
-    if (metrics != nullptr) {
-      metrics->held_hysteresis->inc();
-    }
+    metrics.held_hysteresis->inc();
     return advice;
   }
   if (now - routed_at < config_.min_dwell) {
     advice.action = RouteAdvice::Action::kHoldDwell;
-    if (metrics != nullptr) {
-      metrics->held_dwell->inc();
-    }
+    metrics.held_dwell->inc();
     return advice;
   }
   advice.action = RouteAdvice::Action::kReroute;
@@ -133,9 +120,7 @@ std::size_t RouteAdvisor::on_schedule(const Scheduler& scheduler,
       ++emitted_;
       ++applied;
       took = true;
-      if (AdvisorMetrics* metrics = AdvisorMetrics::get()) {
-        metrics->reroutes_emitted->inc();
-      }
+      AdvisorMetrics::get().reroutes_emitted->inc();
     }
     if (obs::SpanRecorder* sr = obs::spans()) {
       const char* rung = "keep";

@@ -37,8 +37,7 @@ struct AdvisorMetrics {
   obs::Counter* held_hysteresis;       ///< sched.advisor.held_hysteresis
   obs::Counter* held_dwell;            ///< sched.advisor.held_dwell
 
-  /// nullptr while obs::metrics_enabled() is false.
-  static AdvisorMetrics* get();
+  static AdvisorMetrics& get();
 };
 
 struct RouteAdvisorConfig {

@@ -56,16 +56,16 @@ ResolvedRoute RouteService::resolve(std::size_t src, std::size_t dst) const {
 
 void RouteService::account_batch(std::size_t batch,
                                  const RouteSnapshot& snap) const {
-  SchedMetrics* m = SchedMetrics::get();
-  if (m == nullptr || batch == 0) {
+  if (batch == 0) {
     return;
   }
-  m->rs_lookups->inc(batch);
-  m->rs_batch_size->observe(static_cast<double>(batch));
+  SchedMetrics& m = SchedMetrics::get();
+  m.rs_lookups->inc(batch);
+  m.rs_batch_size->observe(static_cast<double>(batch));
   if (snap.epoch() != epoch()) {
     // The writer published while this batch was being answered; the batch
     // is still internally consistent (all answers came from one epoch).
-    m->rs_stale_epochs->inc();
+    m.rs_stale_epochs->inc();
   }
 }
 
@@ -95,9 +95,8 @@ std::size_t RouteService::apply_matrix(const CostMatrix& fresh) {
   }
   if (changed == 0) {
     ++ticks_since_publish_;
-    if (SchedMetrics* m = SchedMetrics::get(); m != nullptr) {
-      m->rs_epoch_age_ticks->set(static_cast<double>(ticks_since_publish_));
-    }
+    SchedMetrics::get().rs_epoch_age_ticks->set(
+        static_cast<double>(ticks_since_publish_));
     return 0;
   }
   publish();
@@ -117,11 +116,10 @@ void RouteService::publish() {
   published_epoch_.store(epoch, std::memory_order_relaxed);
   snapshot_.store(std::move(snap), std::memory_order_release);
   ticks_since_publish_ = 0;
-  if (SchedMetrics* m = SchedMetrics::get(); m != nullptr) {
-    m->rs_snapshot_swaps->inc();
-    m->rs_epoch->set(static_cast<double>(epoch));
-    m->rs_epoch_age_ticks->set(0.0);
-  }
+  SchedMetrics& m = SchedMetrics::get();
+  m.rs_snapshot_swaps->inc();
+  m.rs_epoch->set(static_cast<double>(epoch));
+  m.rs_epoch_age_ticks->set(0.0);
 }
 
 }  // namespace lsl::sched

@@ -11,10 +11,7 @@
 
 namespace lsl::sched {
 
-SchedMetrics* SchedMetrics::get() {
-  if (!obs::metrics_enabled()) {
-    return nullptr;
-  }
+SchedMetrics& SchedMetrics::get() {
   // Thread-local, revalidated by registry uid (parallel trials swap the
   // thread's registry via obs::ScopedRegistry).
   thread_local SchedMetrics metrics;
@@ -40,7 +37,7 @@ SchedMetrics* SchedMetrics::get() {
     metrics.rs_batch_size = &reg.histogram(
         "sched.route_service.batch_size", obs::exponential_buckets(1.0, 2.0, 12));
   }
-  return &metrics;
+  return metrics;
 }
 
 Scheduler::Scheduler(CostMatrix matrix, SchedulerOptions options)
@@ -94,17 +91,13 @@ const MmpTree& Scheduler::tree_from(std::size_t src) const {
   if (trees_[src].has_value() && tree_gen_[src] == matrix_.generation()) {
     return *trees_[src];
   }
-  SchedMetrics* m = SchedMetrics::get();
-  if (m == nullptr) {
-    (void)refresh_slot(src);
-    return *trees_[src];
-  }
   const auto t0 = std::chrono::steady_clock::now();
   const SlotOutcome out = refresh_slot(src);
   const auto elapsed = std::chrono::steady_clock::now() - t0;
-  account(*m, out);
+  SchedMetrics& m = SchedMetrics::get();
+  account(m, out);
   if (out.kind != SlotOutcome::kUntouched) {
-    m->tree_build_us->observe(
+    m.tree_build_us->observe(
         std::chrono::duration<double, std::micro>(elapsed).count());
   }
   return *trees_[src];
@@ -129,11 +122,10 @@ Scheduler::Decision Scheduler::route(std::size_t src, std::size_t dst) const {
   if (!decision.path.empty()) {
     decision.scheduled_cost = tree.cost[dst];
   }
-  if (SchedMetrics* m = SchedMetrics::get(); m != nullptr) {
-    m->route_decisions->inc();
-    if (decision.uses_depots()) {
-      m->relays_chosen->inc();
-    }
+  SchedMetrics& m = SchedMetrics::get();
+  m.route_decisions->inc();
+  if (decision.uses_depots()) {
+    m.relays_chosen->inc();
   }
   return decision;
 }
@@ -163,12 +155,11 @@ Scheduler::Decision Scheduler::route_avoiding(
   if (!decision.path.empty()) {
     decision.scheduled_cost = tree.cost[dst];
   }
-  if (SchedMetrics* m = SchedMetrics::get(); m != nullptr) {
-    m->route_decisions->inc();
-    m->reroutes->inc();
-    if (decision.uses_depots()) {
-      m->relays_chosen->inc();
-    }
+  SchedMetrics& m = SchedMetrics::get();
+  m.route_decisions->inc();
+  m.reroutes->inc();
+  if (decision.uses_depots()) {
+    m.relays_chosen->inc();
   }
   return decision;
 }
@@ -264,10 +255,9 @@ void Scheduler::prebuild_trees(std::size_t jobs,
       outcomes[w] = refresh_slot(work[w]);
     }
   });
-  if (SchedMetrics* m = SchedMetrics::get(); m != nullptr) {
-    for (const SlotOutcome& out : outcomes) {
-      account(*m, out);
-    }
+  SchedMetrics& m = SchedMetrics::get();
+  for (const SlotOutcome& out : outcomes) {
+    account(m, out);
   }
 }
 

@@ -48,8 +48,7 @@ struct SchedMetrics {
   obs::Gauge* rs_epoch_age_ticks;   ///< sched.route_service.epoch_age_ticks
   obs::Histogram* rs_batch_size;    ///< sched.route_service.batch_size
 
-  /// nullptr while obs::metrics_enabled() is false.
-  static SchedMetrics* get();
+  static SchedMetrics& get();
 };
 
 struct SchedulerOptions {

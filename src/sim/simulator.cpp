@@ -8,15 +8,10 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "util/log.hpp"
 
 namespace lsl::sim {
 
 namespace {
-
-std::int64_t sim_log_clock(void* ctx) {
-  return static_cast<const Simulator*>(ctx)->now().ns();
-}
 
 double wall_now() {
   return std::chrono::duration<double>(
@@ -135,17 +130,11 @@ void KernelProfile::merge_from(const KernelProfile& other) {
 // Simulator
 
 Simulator::Simulator() {
-  // Log lines carry the simulated timestamp of the most recently created
-  // live simulator on this thread (tests that run several sequentially each
-  // take over; parallel trials each own their thread's clock).
-  set_log_clock(&sim_log_clock, this);
   // Skip the first few doubling-growth reallocations; ~9 KB per simulator.
   heap_.reserve(256);
   slots_.reserve(256);
   free_slots_.reserve(256);
 }
-
-Simulator::~Simulator() { clear_log_clock(this); }
 
 // ---------------------------------------------------------------------------
 // 4-ary heap of 16-byte POD keys. Children of i are 4i+1 .. 4i+4. A wider

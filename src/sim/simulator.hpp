@@ -136,7 +136,6 @@ class Simulator {
   using Action = sim::Action;
 
   Simulator();
-  ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 

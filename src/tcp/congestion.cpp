@@ -16,10 +16,7 @@ constexpr std::uint64_t kHugeSsthresh =
 constexpr SimTime kMinRttWindow = SimTime::seconds(10);
 }  // namespace
 
-CcaMetrics* CcaMetrics::get() {
-  if (!obs::metrics_enabled()) {
-    return nullptr;
-  }
+CcaMetrics& CcaMetrics::get() {
   thread_local CcaMetrics metrics;
   thread_local std::uint64_t bound_uid = 0;
   auto& reg = obs::Registry::global();
@@ -32,13 +29,12 @@ CcaMetrics* CcaMetrics::get() {
     metrics.cubic_fast_conv =
         &reg.counter("tcp.conn.cca.cubic_fast_convergence");
   }
-  return &metrics;
+  return metrics;
 }
 
 CongestionControl::CongestionControl(const TcpOptions& opts)
     : ssthresh_(kHugeSsthresh), mss_(opts.mss) {
   cwnd_ = static_cast<std::uint64_t>(opts.initial_cwnd_segments) * mss_;
-  metrics_ = CcaMetrics::get();
 }
 
 CongestionControl::~CongestionControl() = default;
@@ -57,9 +53,7 @@ bool CongestionControl::partial_ack_keeps_recovery() const { return true; }
 
 void CongestionControl::on_recovery_exit(SimTime /*now*/) {
   cwnd_ = std::max(ssthresh_, static_cast<std::uint64_t>(2) * mss_);
-  if (metrics_ != nullptr) {
-    metrics_->recovery_exits->inc();
-  }
+  metrics_.recovery_exits->inc();
 }
 
 // ---------------------------------------------------------------------------
@@ -80,18 +74,14 @@ void RenoFamilyCc::on_enter_recovery(std::uint64_t flight, SimTime /*now*/) {
   ssthresh_ =
       std::max(flight / 2, static_cast<std::uint64_t>(2) * mss());
   cwnd_ = ssthresh_ + static_cast<std::uint64_t>(3) * mss();
-  if (metrics_ != nullptr) {
-    metrics_->loss_events->inc();
-  }
+  metrics_.loss_events->inc();
 }
 
 void RenoFamilyCc::on_rto(std::uint64_t flight, SimTime /*now*/) {
   ssthresh_ =
       std::max(flight / 2, static_cast<std::uint64_t>(2) * mss());
   cwnd_ = mss();
-  if (metrics_ != nullptr) {
-    metrics_->rto_collapses->inc();
-  }
+  metrics_.rto_collapses->inc();
 }
 
 // ---------------------------------------------------------------------------
@@ -168,9 +158,7 @@ void CubicCc::reduce(SimTime /*now*/) {
     // Fast convergence: losing again before regaining w_max means a new
     // flow is taking share; release some by remembering a smaller peak.
     w_max_seg_ = cur * (1.0 + flow::kCubicBeta) / 2.0;
-    if (metrics_ != nullptr) {
-      metrics_->cubic_fast_conv->inc();
-    }
+    metrics_.cubic_fast_conv->inc();
   } else {
     w_max_seg_ = cur;
   }
@@ -187,9 +175,7 @@ void CubicCc::on_enter_recovery(std::uint64_t /*flight*/, SimTime now) {
   // ACKs prove segments left the network. on_recovery_exit deflates back
   // to ssthresh.
   cwnd_ = ssthresh_ + static_cast<std::uint64_t>(3) * mss();
-  if (metrics_ != nullptr) {
-    metrics_->loss_events->inc();
-  }
+  metrics_.loss_events->inc();
 }
 
 void CubicCc::on_recovery_exit(SimTime now) {
@@ -206,9 +192,7 @@ void CubicCc::on_rto(std::uint64_t /*flight*/, SimTime now) {
   // Go-back-N restart from one segment; slow start climbs back to ssthresh.
   cwnd_ = mss();
   cwnd_seg_ = 1.0;
-  if (metrics_ != nullptr) {
-    metrics_->rto_collapses->inc();
-  }
+  metrics_.rto_collapses->inc();
 }
 
 // ---------------------------------------------------------------------------
@@ -244,9 +228,7 @@ void BbrCc::set_phase(Phase next) {
     return;
   }
   phase_ = next;
-  if (metrics_ != nullptr) {
-    metrics_->bbr_phase_moves->inc();
-  }
+  metrics_.bbr_phase_moves->inc();
 }
 
 void BbrCc::end_round(std::uint64_t flight, SimTime now) {
@@ -337,9 +319,7 @@ void BbrCc::on_rtt_sample(SimTime sample, SimTime now) {
 void BbrCc::on_enter_recovery(std::uint64_t /*flight*/, SimTime /*now*/) {
   // Loss is not a congestion signal for the model; SACK recovery refills
   // holes under the unchanged window while the phase machine keeps running.
-  if (metrics_ != nullptr) {
-    metrics_->loss_events->inc();
-  }
+  metrics_.loss_events->inc();
 }
 
 void BbrCc::on_recovery_dup_ack() {}
@@ -347,9 +327,7 @@ void BbrCc::on_recovery_dup_ack() {}
 void BbrCc::on_partial_ack(std::uint64_t /*newly*/) {}
 
 void BbrCc::on_recovery_exit(SimTime /*now*/) {
-  if (metrics_ != nullptr) {
-    metrics_->recovery_exits->inc();
-  }
+  metrics_.recovery_exits->inc();
 }
 
 void BbrCc::on_rto(std::uint64_t /*flight*/, SimTime /*now*/) {
@@ -358,9 +336,7 @@ void BbrCc::on_rto(std::uint64_t /*flight*/, SimTime /*now*/) {
   cwnd_ = mss();
   round_open_ = false;
   round_bytes_ = 0;
-  if (metrics_ != nullptr) {
-    metrics_->rto_collapses->inc();
-  }
+  metrics_.rto_collapses->inc();
 }
 
 // ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@
 namespace lsl::tcp {
 
 /// Process-wide CCA instruments (tcp.conn.cca.*), resolved per registry the
-/// same way as TcpMetrics. nullptr while metrics are disabled.
+/// same way as TcpMetrics.
 struct CcaMetrics {
   obs::Counter* loss_events;       ///< tcp.conn.cca.loss_events
   obs::Counter* rto_collapses;     ///< tcp.conn.cca.rto_collapses
@@ -40,7 +40,7 @@ struct CcaMetrics {
   obs::Counter* bbr_phase_moves;   ///< tcp.conn.cca.bbr_phase_moves
   obs::Counter* cubic_fast_conv;   ///< tcp.conn.cca.cubic_fast_convergence
 
-  static CcaMetrics* get();
+  static CcaMetrics& get();
 };
 
 class CongestionControl {
@@ -92,7 +92,7 @@ class CongestionControl {
 
   std::uint64_t cwnd_ = 0;
   std::uint64_t ssthresh_ = 0;
-  CcaMetrics* metrics_ = nullptr;  ///< shared instruments (may be null)
+  CcaMetrics& metrics_ = CcaMetrics::get();  ///< shared instruments
 
  private:
   std::uint64_t mss_;

@@ -5,14 +5,10 @@
 
 #include "obs/span.hpp"
 #include "tcp/stack.hpp"
-#include "util/log.hpp"
 
 namespace lsl::tcp {
 
-TcpMetrics* TcpMetrics::get() {
-  if (!obs::metrics_enabled()) {
-    return nullptr;
-  }
+TcpMetrics& TcpMetrics::get() {
   // Thread-local, revalidated by registry uid: parallel trials install a
   // per-trial ScopedRegistry, so the bundle re-resolves when the thread's
   // registry changes and the hot path stays one integer compare.
@@ -35,7 +31,7 @@ TcpMetrics* TcpMetrics::get() {
     metrics.cwnd_segments = &reg.histogram(
         "tcp.conn.cwnd_segments", obs::exponential_buckets(1.0, 2.0, 16));
   }
-  return &metrics;
+  return metrics;
 }
 
 const char* to_string(ConnectionError e) {
@@ -106,10 +102,7 @@ Connection::Connection(TcpStack& stack, net::NodeId local, net::NodeId remote,
           "tcp.delack") {
   LSL_ASSERT_MSG(opts_.recv_buffer_bytes >= opts_.mss,
                  "receive buffer smaller than one segment");
-  metrics_ = TcpMetrics::get();
-  if (metrics_ != nullptr) {
-    metrics_->connections->inc();
-  }
+  metrics_.connections->inc();
 }
 
 Connection::~Connection() = default;
@@ -294,14 +287,10 @@ void Connection::send_data_segment(std::uint64_t wire_seq, std::uint32_t len,
   last_advertised_wnd_ = p.tcp.wnd;
 
   ++stats_.segments_sent;
-  if (metrics_ != nullptr) {
-    metrics_->segments_sent->inc();
-  }
+  metrics_.segments_sent->inc();
   if (retransmission) {
     ++stats_.retransmits;
-    if (metrics_ != nullptr) {
-      metrics_->retransmits->inc();
-    }
+    metrics_.retransmits->inc();
   } else {
     stats_.bytes_sent += len;
     if (!timing_active_) {
@@ -336,9 +325,7 @@ void Connection::send_control(std::uint8_t flags, std::uint64_t wire_seq) {
   p.payload_bytes = 0;
   last_advertised_wnd_ = p.tcp.wnd;
   ++stats_.segments_sent;
-  if (metrics_ != nullptr) {
-    metrics_->segments_sent->inc();
-  }
+  metrics_.segments_sent->inc();
   stack_.emit(std::move(p));
 }
 
@@ -499,9 +486,7 @@ void Connection::on_rto() {
     return;
   }
   ++stats_.timeouts;
-  if (metrics_ != nullptr) {
-    metrics_->timeouts->inc();
-  }
+  metrics_.timeouts->inc();
   if (stream_span_ != 0 && sim_.now() > rto_armed_at_) {
     if (obs::SpanRecorder* sr = obs::spans()) {
       // Retroactive dead-air episode: no ACK progress from the last RTO arm
@@ -589,7 +574,6 @@ void Connection::handle_packet(const net::Packet& packet) {
   const net::TcpHeader& h = packet.tcp;
 
   if (h.has(net::kFlagRst)) {
-    LSL_DEBUG("tcp %u:%u: RST received", local_node_, local_port_);
     if (state_ != TcpState::kTimeWait) {
       // A reset in TIME_WAIT is an ordinary early teardown, not a failure.
       error_ = ConnectionError::kReset;
@@ -741,9 +725,7 @@ void Connection::process_ack(const net::Packet& packet) {
     for (const auto& block : h.sack) {
       sacked_.add(block.begin, block.end);
     }
-    if (metrics_ != nullptr && !h.sack.empty()) {
-      metrics_->sack_blocks_rx->inc(h.sack.size());
-    }
+    metrics_.sack_blocks_rx->inc(h.sack.size());
   }
 
   if (ack > snd_una_) {
@@ -777,13 +759,11 @@ void Connection::process_ack(const net::Packet& packet) {
       rtt_.add_sample(sample);
       cc_->on_rtt_sample(sample, sim_.now());
       timing_active_ = false;
-      if (metrics_ != nullptr) {
-        // RTT-sample cadence: one histogram point per timed segment, and a
-        // cwnd sample at the same rate (~once per RTT under Karn's rule).
-        metrics_->rtt_ms->observe(sample.to_milliseconds());
-        metrics_->cwnd_segments->observe(static_cast<double>(cc_->cwnd()) /
-                                         static_cast<double>(opts_.mss));
-      }
+      // RTT-sample cadence: one histogram point per timed segment, and a
+      // cwnd sample at the same rate (~once per RTT under Karn's rule).
+      metrics_.rtt_ms->observe(sample.to_milliseconds());
+      metrics_.cwnd_segments->observe(static_cast<double>(cc_->cwnd()) /
+                                      static_cast<double>(opts_.mss));
     }
 
     if (in_recovery_) {
@@ -843,9 +823,7 @@ void Connection::process_ack(const net::Packet& packet) {
 
   if (is_dup) {
     ++stats_.dup_acks_seen;
-    if (metrics_ != nullptr) {
-      metrics_->dup_acks->inc();
-    }
+    metrics_.dup_acks->inc();
     if (in_recovery_) {
       if (opts_.sack_enabled) {
         recovery_fill();
@@ -871,9 +849,7 @@ void Connection::enter_recovery() {
   // window-gated, so ordering against it does not matter.
   cc_->on_enter_recovery(flight(), sim_.now());
   ++stats_.fast_retransmits;
-  if (metrics_ != nullptr) {
-    metrics_->fast_retransmits->inc();
-  }
+  metrics_.fast_retransmits->inc();
   timing_active_ = false;  // Karn
   rtx_out_.clear();
   // Retransmit the presumed-lost head segment.

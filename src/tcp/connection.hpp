@@ -81,8 +81,7 @@ struct TcpMetrics {
   obs::Histogram* rtt_ms;          ///< tcp.conn.rtt_ms
   obs::Histogram* cwnd_segments;   ///< tcp.conn.cwnd_segments
 
-  /// nullptr while obs::metrics_enabled() is false.
-  static TcpMetrics* get();
+  static TcpMetrics& get();
 };
 
 struct ConnectionStats {
@@ -325,7 +324,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
   int data_retries_ = 0;  ///< consecutive RTOs with no ACK progress
 
   ConnectionStats stats_;
-  TcpMetrics* metrics_ = nullptr;  ///< shared instruments (may be null)
+  TcpMetrics& metrics_ = TcpMetrics::get();  ///< shared instruments
   std::uint64_t next_packet_uid_ = 1;
 
   // Causal span attribution (0 = no context / span closed).

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace lsl::tcp {
 
@@ -85,8 +84,7 @@ void TcpStack::on_packet(const net::Packet& packet) {
     emit(std::move(rst));
     return;
   }
-  LSL_TRACE("tcp node %u: dropping stray segment on port %u", node_,
-            packet.tcp.dst_port);
+  ++stray_segments_;
 }
 
 void TcpStack::deliver_accept(const ConnKey& key) {

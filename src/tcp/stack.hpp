@@ -51,6 +51,11 @@ class TcpStack : public net::ProtocolStack {
   [[nodiscard]] net::Topology& topology() { return topology_; }
   [[nodiscard]] sim::Simulator& simulator() { return topology_.simulator(); }
   [[nodiscard]] std::size_t open_connections() const { return conns_.size(); }
+  /// RSTs and SYNs dropped because no connection or listener owns their
+  /// port (other stray segments are answered with a RST instead).
+  [[nodiscard]] std::uint64_t stray_segments() const {
+    return stray_segments_;
+  }
 
   /// True when the topology runs the fluid data plane (payload bytes ride
   /// fluid flows; packets carry only connection control).
@@ -90,6 +95,7 @@ class TcpStack : public net::ProtocolStack {
   std::map<ConnKey, Connection::Ptr> conns_;
   std::map<net::Port, Listener> listeners_;
   net::Port next_ephemeral_ = 49152;
+  std::uint64_t stray_segments_ = 0;
 };
 
 }  // namespace lsl::tcp

@@ -161,6 +161,9 @@ TEST(CoverageTest, TransferToUnreachableHostFailsCleanly) {
   spec.tcp = tcp::TcpOptions{}.with_buffers(kib(256));
   const auto r = h.run_transfer(a, spec, h.simulator().now() + 120_s);
   EXPECT_FALSE(r.completed);
+  // Every SYN dies at the source: it has no route to the island.
+  EXPECT_GT(h.topology().node(a).packets_unroutable(), 0u);
+  EXPECT_EQ(h.topology().node(a).packets_forwarded(), 0u);
   // The SYN retry budget expires and the connection reaps.
   h.simulator().run(h.simulator().now() + 300_s);
   EXPECT_EQ(h.stack(a).open_connections(), 0u);

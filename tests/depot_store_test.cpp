@@ -1,8 +1,11 @@
 // Async-session store capacity management at depots.
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "exp/harness.hpp"
 #include "lsl/endpoint.hpp"
+#include "obs/span.hpp"
 
 namespace lsl::session {
 namespace {
@@ -76,12 +79,23 @@ TEST(DepotStoreTest, FetchOfEvictedSessionFails) {
   StoreNet net(mib(3));
   const auto first = net.park(mib(2));
   net.park(mib(2));  // evicts `first`
+  obs::SpanRecorder recorder(0);
+  const obs::ScopedSpanRecorder scope(&recorder);
   bool errored = false;
   auto fetcher = AsyncFetcher::start(net.h.stack(net.b), net.d, first,
                                      tcp::TcpOptions{});
   fetcher->on_error = [&] { errored = true; };
   net.h.simulator().run(net.h.simulator().now() + 30_s);
   EXPECT_TRUE(errored);
+  // The depot's relay span tells the miss apart from a served fetch.
+  std::size_t misses = 0;
+  for (const obs::SpanEvent& e : recorder.snapshot()) {
+    if (e.kind == obs::SpanKind::kRelay) {
+      EXPECT_NE(std::string_view(e.reason), "fetch");
+      misses += std::string_view(e.reason) == "fetch_miss" ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(misses, 1u);
 }
 
 TEST(DepotStoreTest, SurvivorStillFetchable) {

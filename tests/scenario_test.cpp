@@ -183,6 +183,23 @@ TEST(ScenarioParserTest, RejectsDuplicateHost) {
   EXPECT_NE(result.error.find("duplicate"), std::string::npos);
 }
 
+TEST(ScenarioParserTest, RejectsPinOnUnlinkedPair) {
+  const auto result = parse_scenario(
+      "host a\nhost b\nhost c\nlink a b\nlink c b\npin b c\npin a c\n");
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.error.find("line 7"), std::string::npos) << result.error;
+  EXPECT_NE(result.error.find("no link"), std::string::npos) << result.error;
+}
+
+TEST(ScenarioParserTest, RejectsLinkFaultOnUnlinkedPair) {
+  const auto result = parse_scenario(
+      "host a\nhost b\nhost c\nlink a b\nlink b c\n"
+      "fault brownout b a at=1\nfault link-down a c at=0.1 for=1\n");
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.error.find("line 7"), std::string::npos) << result.error;
+  EXPECT_NE(result.error.find("no link"), std::string::npos) << result.error;
+}
+
 TEST(ScenarioParserTest, RejectsBadAttribute) {
   const auto result =
       parse_scenario("host a\nhost b\nlink a b rate=fast\n");

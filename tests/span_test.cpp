@@ -7,7 +7,6 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -507,25 +506,27 @@ struct InstrumentedRun {
   std::size_t relay_spans = 0;
 };
 
-enum class Sinks { kNone, kRegistry, kRegistryAndSpans };
+/// Metrics are always on; what varies is kernel profiling (--profile) and
+/// the unbounded span recorder that --explain and --trace install.
+enum class Probes { kPlain, kProfiled, kProfiledAndSpans };
 
-InstrumentedRun run_instrumented(const exp::Scenario& scenario, Sinks sinks) {
+InstrumentedRun run_instrumented(const exp::Scenario& scenario,
+                                 Probes probes) {
   InstrumentedRun run;
   obs::Registry registry;
   obs::SpanRecorder recorder(0);
-  const bool metrics_were_enabled = obs::metrics_enabled();
-  obs::set_metrics_enabled(sinks != Sinks::kNone);
   {
-    std::optional<obs::ScopedRegistry> registry_scope;
-    if (sinks != Sinks::kNone) {
-      registry_scope.emplace(registry);
-    }
+    const obs::ScopedRegistry registry_scope(registry);
     const obs::ScopedSpanRecorder span_scope(
-        sinks == Sinks::kRegistryAndSpans ? &recorder : nullptr);
-    run.outcomes = exp::run_scenario(scenario, /*seed=*/7,
-                                     SimTime::seconds(3600), &run.profile);
+        probes == Probes::kProfiledAndSpans ? &recorder : nullptr);
+    // The profile out-parameter turns profiling on; the plain run switches
+    // it straight back off so only the always-on event counts remain.
+    run.outcomes = exp::run_scenario(
+        scenario, /*seed=*/7, SimTime::seconds(3600), &run.profile, nullptr,
+        nullptr, [probes](exp::SimHarness& harness) {
+          harness.simulator().set_profiling(probes != Probes::kPlain);
+        });
   }
-  obs::set_metrics_enabled(metrics_were_enabled);
   for (const obs::SpanEvent& event : recorder.snapshot()) {
     ++run.spans;
     run.relay_spans += event.kind == obs::SpanKind::kRelay ? 1 : 0;
@@ -570,17 +571,21 @@ TEST(SpanTest, InstrumentationNeverChangesScenarioResults) {
       const std::string where =
           std::string(name) +
           (fidelity == exp::Fidelity::kPacket ? " packet" : " flow");
-      const InstrumentedRun bare = run_instrumented(scenario, Sinks::kNone);
-      const InstrumentedRun metered =
-          run_instrumented(scenario, Sinks::kRegistry);
+      const InstrumentedRun plain = run_instrumented(scenario, Probes::kPlain);
+      const InstrumentedRun profiled =
+          run_instrumented(scenario, Probes::kProfiled);
       const InstrumentedRun traced =
-          run_instrumented(scenario, Sinks::kRegistryAndSpans);
-      ASSERT_FALSE(bare.outcomes.empty()) << where;
-      EXPECT_EQ(bare.spans, 0u) << where;
+          run_instrumented(scenario, Probes::kProfiledAndSpans);
+      ASSERT_FALSE(plain.outcomes.empty()) << where;
+      EXPECT_EQ(plain.profile.wall_seconds, 0.0) << where;
+      EXPECT_TRUE(plain.profile.category_executed.empty()) << where;
+      EXPECT_GT(profiled.profile.wall_seconds, 0.0) << where;
+      EXPECT_FALSE(profiled.profile.category_executed.empty()) << where;
+      EXPECT_EQ(plain.spans, 0u) << where;
       EXPECT_GT(traced.spans, 0u) << where;
       EXPECT_GT(traced.relay_spans, 0u) << where;  // every scenario relays
-      expect_same_outcomes(bare, metered, where + " (registry)");
-      expect_same_outcomes(bare, traced, where + " (registry + spans)");
+      expect_same_outcomes(plain, profiled, where + " (profiling)");
+      expect_same_outcomes(plain, traced, where + " (profiling + spans)");
     }
   }
 }

@@ -50,6 +50,9 @@ TEST(TcpStackTest, SynToClosedPortIsDropped) {
   // The SYN is silently dropped; the client keeps retrying (SYN_SENT).
   EXPECT_EQ(c->state(), TcpState::kSynSent);
   EXPECT_GT(c->stats().timeouts, 0u);
+  // Each dropped SYN is counted where it was dropped.
+  EXPECT_GT(net.stack_b->stray_segments(), 0u);
+  EXPECT_EQ(net.stack_a->stray_segments(), 0u);
 }
 
 TEST(TcpStackTest, SynRetriesAreCappedAndSurfaceConnectTimeout) {

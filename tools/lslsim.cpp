@@ -18,6 +18,7 @@
 #include <iostream>
 #include <numeric>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "exp/parallel.hpp"
@@ -32,10 +33,10 @@
 #include "obs/span.hpp"
 #include "sched/route_advisor.hpp"
 #include "sched/scheduler.hpp"
+#include "tcp/congestion.hpp"
 #include "tcp/connection.hpp"
 #include "testbed/grid.hpp"
 #include "testbed/sweep.hpp"
-#include "util/log.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -110,9 +111,7 @@ void usage() {
                "  rerouted(xN) / FAILED per transfer. Exit status is\n"
                "  nonzero when any session fails or a connection leaks;\n"
                "  an always-on flight recorder then dumps a post-mortem of\n"
-               "  each failed session's recent span events to stderr.\n"
-               "  LSL_LOG=debug enables protocol traces; LSL_METRICS=off\n"
-               "  disables the built-in instrumentation.\n");
+               "  each failed session's recent span events to stderr.\n");
 }
 
 /// Touch every subsystem's instrument bundle so the JSON snapshot carries
@@ -126,6 +125,19 @@ void preregister_metrics() {
   (void)lsl::sched::AdvisorMetrics::get();
   (void)lsl::nws::NwsMetrics::get();
   (void)lsl::fault::FaultMetrics::get();
+  (void)lsl::tcp::CcaMetrics::get();
+}
+
+/// Prints the connections a run leaked to stderr; true when there were none.
+bool report_leaks(const std::vector<std::string>& leaked) {
+  if (leaked.empty()) {
+    return true;
+  }
+  std::fprintf(stderr, "lslsim: %zu connections leaked\n", leaked.size());
+  for (const std::string& conn : leaked) {
+    std::fprintf(stderr, "  %s\n", conn.c_str());
+  }
+  return false;
 }
 
 /// Per-transfer status cell: ok / recovered(xN) / rerouted(xN) / FAILED.
@@ -150,8 +162,6 @@ std::string status_of(const lsl::exp::SimHarness::TransferOutcome& outcome) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  lsl::init_log_from_env();
-  lsl::obs::init_metrics_from_env();
   const char* path = nullptr;
   std::uint64_t seed = 1;
   bool sweep = false;
@@ -527,7 +537,7 @@ int main(int argc, char** argv) {
     }
     struct PointResult {
       lsl::exp::SimHarness::TransferOutcome outcome;
-      std::size_t leaked = 0;
+      std::vector<std::string> leaked;
       lsl::sim::KernelProfile profile;
     };
     lsl::exp::TrialOptions trial_options;
@@ -540,7 +550,7 @@ int main(int argc, char** argv) {
           PointResult out;
           const auto outcomes = lsl::exp::run_scenario(
               point, seed, lsl::SimTime::seconds(3600),
-              want_profile ? &out.profile : nullptr, &out.leaked);
+              want_profile ? &out.profile : nullptr, nullptr, &out.leaked);
           out.outcome = outcomes.front().outcome;
           return out;
         });
@@ -557,11 +567,7 @@ int main(int argc, char** argv) {
         if (want_profile) {
           total_profile.merge_from(pr.profile);
         }
-        if (pr.leaked != 0) {
-          std::fprintf(stderr, "lslsim: %zu connections leaked\n",
-                       pr.leaked);
-          all_ok = false;
-        }
+        all_ok &= report_leaks(pr.leaked);
         all_ok &= pr.outcome.completed;
         table.add_row(
             {lsl::format_bytes(points[cursor].size),
@@ -577,10 +583,10 @@ int main(int argc, char** argv) {
     return finish(all_ok);
   }
 
-  std::size_t leaked = 0;
+  std::vector<std::string> leaked;
   const auto outcomes = lsl::exp::run_scenario(
       scenario, seed, lsl::SimTime::seconds(3600),
-      want_profile ? &total_profile : nullptr, &leaked);
+      want_profile ? &total_profile : nullptr, nullptr, &leaked);
   lsl::Table table({"src", "dst", "via", "size", "status", "time",
                     "Mbit/s"});
   bool all_ok = true;
@@ -602,9 +608,6 @@ int main(int argc, char** argv) {
                        : "-"});
   }
   table.print(std::cout);
-  if (leaked != 0) {
-    std::fprintf(stderr, "lslsim: %zu connections leaked\n", leaked);
-    all_ok = false;
-  }
+  all_ok &= report_leaks(leaked);
   return finish(all_ok);
 }
